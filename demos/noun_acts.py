@@ -21,13 +21,13 @@ from storyfactors import (
     segment_text,
     tokenize,
 )
-from storyfactors import corpus, textprep
+from storyfactors import corpus
 
 DATA = Path(storyfactors.__file__).parent / "data"
 
 # Segment and tokenize the bundled text.
 text = (DATA / "purloined_letter.txt").read_text(encoding="utf-8")
-abbreviations = textprep.load_abbreviations(DATA / "abbreviations.txt")
+abbreviations = corpus.load_word_list(DATA / "abbreviations.txt")
 records = segment_text(text, abbreviations=abbreviations)
 tokens = [tokenize(r) for r in records]
 print(f"{len(records)} sentences, {max(r.paragraph_id for r in records)} paragraphs")

@@ -21,7 +21,7 @@ DATA = Path(storyfactors.__file__).parent / "data"
 # least 3 occurrences in at least 3 sentences, words of 2+ letters.
 text = (DATA / "purloined_letter.txt").read_text(encoding="utf-8")
 records = textprep.segment_text(
-    text, abbreviations=textprep.load_abbreviations(DATA / "abbreviations.txt"))
+    text, abbreviations=corpus.load_word_list(DATA / "abbreviations.txt"))
 table = corpus.build_table([textprep.tokenize(r) for r in records])
 filt = corpus.CorpusFilter(
     min_total_count=3, min_doc_count=3, min_word_length=2,

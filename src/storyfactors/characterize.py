@@ -40,6 +40,29 @@ class VTestReport:
     alpha: float
 
 
+def _v_scores(values: np.ndarray, mask: np.ndarray, cluster_id: int,
+              global_means: np.ndarray, variances: np.ndarray):
+    """v, two-sided p and cluster mean of every column of ``values``.
+
+    ``mask`` selects the cluster's rows.  A cluster spanning every row, or
+    a column of constant values, scores v = 0 and p = 1.
+    """
+    N = len(values)
+    n_q = int(mask.sum())
+    if n_q == 0:
+        raise ValueError(f"cluster {cluster_id} is empty")
+    cluster_means = values[mask].mean(axis=0)
+    if n_q == N:
+        v_all = np.zeros(values.shape[1])
+    else:
+        scale = np.sqrt(((N - n_q) / (N - 1)) * variances / n_q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_all = np.where(scale > 0, (cluster_means - global_means) / scale, 0.0)
+    v_list = v_all.tolist()
+    p_list = [math.erfc(abs(v) / math.sqrt(2.0)) if v != 0.0 else 1.0 for v in v_list]
+    return v_list, p_list, cluster_means
+
+
 def v_test(values, partition: Partition, cluster_id: int) -> tuple[float, float]:
     """v statistic and two-sided p-value for one cluster of a partition.
 
@@ -47,21 +70,13 @@ def v_test(values, partition: Partition, cluster_id: int) -> tuple[float, float]
     Degenerate cases (cluster = everything, or constant values) return
     (0, 1).
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)[:, None]
     N = len(values)
     if len(partition.assignment) != N:
         raise ValueError(f"{N} values for {len(partition.assignment)} documents")
     mask = np.array([cid == cluster_id for cid in partition.assignment.values()])
-    n_q = int(mask.sum())
-    if n_q == 0:
-        raise ValueError(f"cluster {cluster_id} is empty")
-    variance = float(np.var(values))  # population variance
-    if n_q == N or variance == 0.0:
-        return 0.0, 1.0
-    v = (float(values[mask].mean()) - float(values.mean())) / math.sqrt(
-        ((N - n_q) / (N - 1)) * variance / n_q
-    )
-    return v, math.erfc(abs(v) / math.sqrt(2.0))
+    v, p, _ = _v_scores(values, mask, cluster_id, values.mean(axis=0), values.var(axis=0))
+    return v[0], p[0]
 
 
 def characterize_clusters(
@@ -88,30 +103,17 @@ def characterize_clusters(
     values = table.counts.astype(float)
     if normalize:
         values = values / values.sum(axis=1, keepdims=True)
-    N = len(table.row_labels)
     global_means = values.mean(axis=0)
     variances = values.var(axis=0)
 
     entries: list[VTestEntry] = []
     for cid in range(1, partition.k + 1):
-        mask = cluster_ids == cid
-        n_q = int(mask.sum())
-        if n_q == 0:
-            raise ValueError(f"cluster {cid} is empty")
-        cluster_means = values[mask].mean(axis=0)
-        if n_q == N:
-            v_all = np.zeros(len(table.col_labels))
-        else:
-            scale = np.sqrt(((N - n_q) / (N - 1)) * variances / n_q)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v_all = np.where(scale > 0, (cluster_means - global_means) / scale, 0.0)
+        v_list, p_list, cluster_means = _v_scores(
+            values, cluster_ids == cid, cid, global_means, variances)
         for j, word in enumerate(table.col_labels):
-            v = float(v_all[j])
-            p = math.erfc(abs(v) / math.sqrt(2.0)) if v != 0.0 else 1.0
-            if include_all or p < alpha:
-                entries.append(
-                    VTestEntry(cid, word, v, p, float(cluster_means[j]), float(global_means[j]))
-                )
+            if include_all or p_list[j] < alpha:
+                entries.append(VTestEntry(cid, word, v_list[j], p_list[j],
+                                          float(cluster_means[j]), float(global_means[j])))
     entries.sort(key=lambda e: (e.cluster_id, e.p, e.word))
     return VTestReport(tuple(entries), alpha)
 

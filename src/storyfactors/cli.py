@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
@@ -46,7 +47,8 @@ def main(argv: list[str] | None = None) -> int:
     upto = _COMMANDS[args.command][0]
     try:
         config = pipeline.parse_config(args.config)
-        config = pipeline.config_with_overrides(config, args.out)
+        if args.out is not None:
+            config = replace(config, out_dir=args.out)
         result = pipeline.run_pipeline(config, upto=upto)
     except pipeline.StageError as err:
         print(f"error {err}", file=sys.stderr)

@@ -145,13 +145,11 @@ def build_table(
         row_labels = tuple(str(tl.sentence_id) for tl in token_lists)
     else:
         assert paragraph_ids is not None
-        seen: list[int] = []
+        row_of: dict[int, int] = {}  # paragraph id -> row, in first-appearance order
         for tl in token_lists:
-            pid = paragraph_ids[tl.sentence_id]
-            if pid not in seen:
-                seen.append(pid)
-        doc_of = {tl.sentence_id: seen.index(paragraph_ids[tl.sentence_id]) for tl in token_lists}
-        row_labels = tuple(str(pid) for pid in seen)
+            row_of.setdefault(paragraph_ids[tl.sentence_id], len(row_of))
+        doc_of = {tl.sentence_id: row_of[paragraph_ids[tl.sentence_id]] for tl in token_lists}
+        row_labels = tuple(str(pid) for pid in row_of)
 
     counts = np.zeros((len(row_labels), len(vocabulary)), dtype=np.int64)
     for tl in token_lists:
@@ -224,7 +222,11 @@ def aggregate(table: ContingencyTable, segmentation: Segmentation) -> Contingenc
 
 
 def load_word_list(path: str | Path) -> frozenset[str]:
-    """Read a one-word-per-line file; ``#`` starts a comment."""
+    """Read a one-entry-per-line file; ``#`` starts a comment.
+
+    Entries are kept exactly as written (case included), which serves
+    stopword lists, lexicons and abbreviation lists alike.
+    """
     words: set[str] = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         word = line.split("#", 1)[0].strip()

@@ -1,43 +1,49 @@
 """End-to-end batch pipeline: config file in, CSV tables and SVG plots out.
 
-A run is segment -> tokenize -> build -> filter -> (aggregate) -> fit_ca
--> cluster -> cut -> v-test -> plot, where the aggregate stage only runs
-when the config defines a segmentation.  Every stage appends one line of
-counts to the run summary; any failure is re-raised as a
-:class:`StageError` naming the stage, and files already written by the
-failed run are removed so a broken output directory never looks like a
-finished one.  All outputs are pure functions of the config and input
-files, so two runs over the same inputs are byte-identical.
+A run is the stage table at the end of this module, executed in order:
+segment -> tokenize -> build -> filter -> (aggregate) -> fit_ca ->
+cluster -> cut -> v-test -> plot, where the aggregate stage only runs
+when the config defines a segmentation.  Each stage reads and fills the
+:class:`PipelineResult` and returns its line of counts for the run
+summary; any failure is re-raised as a :class:`StageError` naming the
+stage.  A run first removes every artifact a previous run may have left
+in the output directory, and a failed run removes what it wrote, so the
+directory holds exactly one run's artifacts or none.  All outputs are
+pure functions of the config and input files, so two runs over the same
+inputs are byte-identical.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import ca, characterize, clustering, corpus, plots, textprep
 
-logger = logging.getLogger(__name__)
-
-# Stage order; CLI subcommands stop after the stage mapped in cli.py.
-STAGES = (
-    "segment",
-    "tokenize",
-    "build",
-    "filter",
-    "aggregate",
-    "fit_ca",
-    "cluster",
-    "cut",
-    "vtest",
-    "plot",
-)
-
 _UNITS = ("sentence", "paragraph")
 _CRITERIA = ("ward", "constrained")
+_PATH_KEYS = ("input_text", "abbreviations", "stopwords", "lexicon",
+              "speakers", "segment_file")
+_INT_KEYS = ("min_total_count", "min_doc_count", "min_word_length", "axes",
+             "plot_top_k")
+
+# Result key -> artifact file name; every name a run can write.
+_ARTIFACTS = {
+    "sentences": "sentences.csv",
+    "table": "table.csv",
+    "segments": "table_segments.csv",
+    "inertia": "inertia.csv",
+    "row_coords": "row_coordinates.csv",
+    "col_coords": "col_coordinates.csv",
+    "row_contrib": "row_contributions.csv",
+    "col_contrib": "col_contributions.csv",
+    "dendrogram": "dendrogram.txt",
+    "partition": "partition.csv",
+    "vtest": "vtest.csv",
+    "plane_rows": "factor_plane_segments.svg",
+    "plane_cols": "factor_plane_words.svg",
+    "tree": "dendrogram.svg",
+}
 
 
 class StageError(RuntimeError):
@@ -74,8 +80,7 @@ class PipelineConfig:
     out_dir: Path | None = None
 
     def validate(self) -> None:
-        for name in ("input_text", "abbreviations", "stopwords", "lexicon",
-                     "speakers", "segment_file"):
+        for name in _PATH_KEYS:
             path = getattr(self, name)
             if path is not None and not Path(path).is_file():
                 raise ValueError(f"{name} file not found: {path}")
@@ -91,8 +96,6 @@ class PipelineConfig:
                 raise ValueError("segment sizes must be positive")
         if self.segment_by not in ("paragraph", "row"):
             raise ValueError(f"segment_by must be 'paragraph' or 'row', got {self.segment_by!r}")
-        if self.unit == "paragraph" and self.segment_by == "paragraph" and self.segment_sizes:
-            pass  # paragraph rows segmented by paragraph ranges: allowed
         if self.axes < 0:
             raise ValueError("axes must be >= 0 (0 selects the full factor space)")
         if self.cluster not in _CRITERIA:
@@ -113,10 +116,12 @@ class PipelineConfig:
             raise ValueError("plot_top_k must be >= 1")
 
 
-_PATH_KEYS = ("input_text", "abbreviations", "stopwords", "lexicon",
-              "speakers", "segment_file")
-_INT_KEYS = ("min_total_count", "min_doc_count", "min_word_length", "axes",
-             "plot_top_k")
+def _lines(path: str | Path):
+    """Yield ``(line number, text)`` for each line left after ``#`` comments and blanks."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _parse_ranges(ranges: str) -> tuple[int, ...]:
@@ -146,10 +151,7 @@ def parse_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     base = path.parent
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
@@ -194,6 +196,7 @@ class PipelineResult:
     files: dict[str, Path] = field(default_factory=dict)
     summary: list[str] = field(default_factory=list)
     sentences: list[textprep.SentenceRecord] | None = None
+    tokens: list[textprep.TokenList] | None = None
     table: corpus.ContingencyTable | None = None  # the analysed (final) table
     model: ca.CAModel | None = None
     dendrogram: clustering.Dendrogram | None = None
@@ -201,47 +204,191 @@ class PipelineResult:
     report: characterize.VTestReport | None = None
 
 
-def _segmentation_for(
-    config: PipelineConfig,
-    table: corpus.ContingencyTable,
-    paragraph_of: dict[str, int],
-) -> corpus.Segmentation:
+def _write(result: PipelineResult, key: str, content: str) -> None:
+    path = result.out_dir / _ARTIFACTS[key]
+    path.write_text(content, encoding="utf-8")
+    result.files[key] = path
+
+
+def _remove_artifacts(directory: Path) -> None:
+    for filename in _ARTIFACTS.values():
+        (directory / filename).unlink(missing_ok=True)
+
+
+def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> dict[str, int]:
+    assignment = {}
+    for lineno, line in _lines(path):
+        label, _, segment = line.partition(",")
+        try:
+            assignment[label.strip()] = int(segment)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'label,segment', got {line!r}") from None
+    # Rows the file misses are reported by corpus.aggregate.
+    return {label: assignment[label] for label in row_labels if label in assignment}
+
+
+def _segmentation_for(config: PipelineConfig, result: PipelineResult) -> corpus.Segmentation:
+    labels = result.table.row_labels
     if config.segment_file is not None:
-        assignment = {}
-        for line in Path(config.segment_file).read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            label, _, seg = line.partition(",")
-            assignment[label.strip()] = int(seg)
-        missing = [lab for lab in table.row_labels if lab not in assignment]
-        if missing:
-            raise ValueError(f"segment file covers no segment for rows: {missing[:5]}")
-        return corpus.Segmentation("file", {lab: assignment[lab] for lab in table.row_labels})
+        return corpus.Segmentation("file", _read_segment_file(config.segment_file, labels))
     sizes = config.segment_sizes
-    assert sizes is not None
-    edges = np.cumsum(sizes)
     if config.segment_by == "row":
-        if int(edges[-1]) != len(table.row_labels):
-            raise ValueError(
-                f"segment sizes sum to {int(edges[-1])} but the table has "
-                f"{len(table.row_labels)} rows")
-        assignment = {
-            lab: int(np.searchsorted(edges, pos + 1, side="left")) + 1
-            for pos, lab in enumerate(table.row_labels)
-        }
-        return corpus.Segmentation("rows", assignment)
+        return corpus.Segmentation.from_sizes("rows", labels, sizes)
     # segment_by paragraph: rows are mapped through their paragraph id.
-    top = max(paragraph_of[lab] for lab in table.row_labels)
-    if int(edges[-1]) < top:
+    if config.unit == "paragraph":
+        paragraph_of = {label: int(label) for label in labels}
+    else:
+        paragraph_of = {str(r.sentence_id): r.paragraph_id for r in result.sentences}
+    covered = sum(sizes)
+    top = max(paragraph_of[label] for label in labels)
+    if covered < top:
         raise ValueError(
-            f"segment sizes cover paragraphs 1..{int(edges[-1])} but the "
+            f"segment sizes cover paragraphs 1..{covered} but the "
             f"table reaches paragraph {top}")
-    assignment = {
-        lab: int(np.searchsorted(edges, paragraph_of[lab], side="left")) + 1
-        for lab in table.row_labels
-    }
-    return corpus.Segmentation("paragraphs", assignment)
+    by_paragraph = corpus.Segmentation.from_sizes(
+        "paragraphs", range(1, covered + 1), sizes).assignment
+    return corpus.Segmentation(
+        "paragraphs", {label: by_paragraph[paragraph_of[label]] for label in labels})
+
+
+# Stages.  Each reads and fills ``result`` and returns its summary line, or
+# None when it does not apply to the config.  They call every layer through
+# its module attribute at call time, so wrappers installed on a layer module
+# (as storybench/spans.py installs them) see every call.
+
+def _segment(config: PipelineConfig, result: PipelineResult) -> str:
+    text = Path(config.input_text).read_text(encoding="utf-8")
+    abbreviations = (corpus.load_word_list(config.abbreviations)
+                     if config.abbreviations else frozenset())
+    records = textprep.segment_text(text, abbreviations=abbreviations)
+    if not records:
+        raise ValueError(f"{config.input_text} holds no sentences")
+    if config.speakers is not None:
+        speaker_map = textprep.load_speaker_map(config.speakers)
+        records = textprep.annotate_speakers(records, speaker_map)
+    result.sentences = records
+    _write(result, "sentences", textprep.sentences_to_csv(records))
+    return f"segment: {len(records)} sentences, {records[-1].paragraph_id} paragraphs"
+
+
+def _tokenize(config: PipelineConfig, result: PipelineResult) -> str:
+    token_lists = result.tokens = [textprep.tokenize(r) for r in result.sentences]
+    occurrences = sum(len(tl.tokens) for tl in token_lists)
+    distinct = len({tok for tl in token_lists for tok in tl.tokens})
+    return f"tokenize: {distinct} distinct words, {occurrences} occurrences"
+
+
+def _build(config: PipelineConfig, result: PipelineResult) -> str:
+    paragraph_ids = {r.sentence_id: r.paragraph_id for r in result.sentences}
+    table = result.table = corpus.build_table(
+        result.tokens, unit=config.unit, paragraph_ids=paragraph_ids)
+    return f"build: {table.shape[0]} {config.unit} rows x {table.shape[1]} words"
+
+
+def _filter(config: PipelineConfig, result: PipelineResult) -> str:
+    stopwords = (corpus.load_word_list(config.stopwords)
+                 if config.stopwords else frozenset())
+    lexicon = corpus.load_word_list(config.lexicon) if config.lexicon else None
+    filt = corpus.CorpusFilter(
+        min_total_count=config.min_total_count,
+        min_doc_count=config.min_doc_count,
+        min_word_length=config.min_word_length,
+        stopwords=stopwords,
+        lexicon=lexicon,
+    )
+    table = result.table = corpus.apply_filter(result.table, filt)
+    _write(result, "table", corpus.table_to_csv(table))
+    return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
+            f"{table.shape[0]} non-empty rows")
+
+
+def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
+    if config.segment_sizes is None and config.segment_file is None:
+        return None
+    table = result.table = corpus.aggregate(result.table, _segmentation_for(config, result))
+    _write(result, "segments", corpus.table_to_csv(table))
+    return f"aggregate: {table.shape[0]} segments"
+
+
+def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
+    model = result.model = ca.fit_ca(result.table)
+    _write(result, "inertia", ca.inertia_table_csv(model))
+    _write(result, "row_coords", ca.coordinates_csv(model, "row"))
+    _write(result, "col_coords", ca.coordinates_csv(model, "col"))
+    _write(result, "row_contrib", ca.contributions_csv(model, "row"))
+    _write(result, "col_contrib", ca.contributions_csv(model, "col"))
+    return f"fit_ca: {model.n_axes} axes, total inertia {model.total_inertia:.6g}"
+
+
+def _cluster(config: PipelineConfig, result: PipelineResult) -> str:
+    model, labels = result.model, result.table.row_labels
+    n_axes = min(config.axes or model.n_axes, model.n_axes)
+    coords = model.row_coords[:, :n_axes]
+    if config.cluster == "ward":
+        cloud = clustering.PointCloud(labels, coords, masses=model.row_masses.copy())
+        dendrogram = clustering.ward_cluster(cloud)
+    else:
+        cloud = clustering.PointCloud(labels, coords)
+        dendrogram = clustering.constrained_complete_link(cloud)
+    result.dendrogram = dendrogram
+    _write(result, "dendrogram", clustering.dendrogram_to_text(dendrogram))
+    return f"cluster: {config.cluster} tree over {len(labels)} rows ({n_axes} axes)"
+
+
+def _cut(config: PipelineConfig, result: PipelineResult) -> str:
+    if config.cut == "max-gap":
+        partition = clustering.cut_max_gap(result.dendrogram)
+    else:
+        partition = clustering.cut_k(result.dendrogram, int(config.cut))
+    result.partition = partition
+    _write(result, "partition", clustering.partition_to_csv(partition))
+    sizes = "/".join(str(len(partition.members(c + 1))) for c in range(partition.k))
+    return f"cut: {partition.k} clusters (sizes {sizes})"
+
+
+def _vtest(config: PipelineConfig, result: PipelineResult) -> str:
+    report = result.report = characterize.characterize_clusters(
+        result.table, result.partition, alpha=config.vtest_alpha)
+    _write(result, "vtest", characterize.report_to_csv(report))
+    return (f"vtest: {len(report.entries)} significant word/cluster pairs "
+            f"at alpha {config.vtest_alpha:g}")
+
+
+def _plot(config: PipelineConfig, result: PipelineResult) -> str:
+    model, table = result.model, result.table
+    ax, ay = (min(axis, model.n_axes) for axis in config.plot_axes)
+    if ax == ay:
+        raise ValueError(
+            f"cannot draw a plane: axes {config.plot_axes} collapse onto "
+            f"axis {ax} in a model with {model.n_axes} fitted axes")
+    aggregated = "segments" in result.files
+    if aggregated:
+        _write(result, "plane_rows", plots.render_factor_plane(
+            model, ax, ay, side="row", selection=("labels", list(table.row_labels)),
+            trajectory=True, title="segment trajectory"))
+    top_k = min(config.plot_top_k, len(table.col_labels))
+    _write(result, "plane_cols", plots.render_factor_plane(
+        model, ax, ay, side="col", selection=("top", top_k),
+        title=f"top {top_k} contributing words"))
+    _write(result, "tree", plots.render_dendrogram(
+        result.dendrogram, cut=result.partition.k, title=f"{config.cluster} dendrogram"))
+    return f"plot: {3 if aggregated else 2} SVG files"
+
+
+# The run, in order; CLI subcommands stop after the stage mapped in cli.py.
+_STAGE_TABLE = (
+    ("segment", _segment),
+    ("tokenize", _tokenize),
+    ("build", _build),
+    ("filter", _filter),
+    ("aggregate", _aggregate),
+    ("fit_ca", _fit_ca),
+    ("cluster", _cluster),
+    ("cut", _cut),
+    ("vtest", _vtest),
+    ("plot", _plot),
+)
+STAGES = tuple(name for name, _ in _STAGE_TABLE)
 
 
 def run_pipeline(
@@ -251,184 +398,29 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute the pipeline through stage ``upto`` and write its artifacts.
 
-    Returns a :class:`PipelineResult`; raises :class:`StageError` on any
-    failure after deleting the files this run had already written.
+    Every artifact name is first deleted from the output directory, so it
+    ends up holding this run's artifacts only.  Returns a
+    :class:`PipelineResult`; raises :class:`StageError` on any failure
+    after deleting the files this run had already written.
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}; expected one of {STAGES}")
     config.validate()
-    target = STAGES.index(upto)
-    directory = Path(out_dir) if out_dir is not None else config.out_dir
+    directory = out_dir if out_dir is not None else config.out_dir
     if directory is None:
         raise ValueError("no output directory: set out_dir in the config or pass --out")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    _remove_artifacts(directory)
     result = PipelineResult(out_dir=directory)
-
-    def write(name: str, filename: str, content: str) -> None:
-        path = directory / filename
-        path.write_text(content, encoding="utf-8")
-        result.files[name] = path
-
-    stage = STAGES[0]
     try:
-        # segment
-        stage = "segment"
-        text = Path(config.input_text).read_text(encoding="utf-8")
-        abbreviations = (textprep.load_abbreviations(config.abbreviations)
-                         if config.abbreviations else frozenset())
-        records = textprep.segment_text(text, abbreviations=abbreviations)
-        if config.speakers is not None:
-            speaker_map = textprep.load_speaker_map(config.speakers)
-            records = textprep.annotate_speakers(records, speaker_map)
-        result.sentences = records
-        n_paragraphs = max(r.paragraph_id for r in records)
-        write("sentences", "sentences.csv", textprep.sentences_to_csv(records))
-        result.summary.append(
-            f"segment: {len(records)} sentences, {n_paragraphs} paragraphs")
-        if target >= STAGES.index("tokenize"):
-            # tokenize
-            stage = "tokenize"
-            token_lists = [textprep.tokenize(r) for r in records]
-            occurrences = sum(len(tl.tokens) for tl in token_lists)
-            distinct = len({tok for tl in token_lists for tok in tl.tokens})
-            result.summary.append(
-                f"tokenize: {distinct} distinct words, {occurrences} occurrences")
-        if target >= STAGES.index("build"):
-            # build
-            stage = "build"
-            paragraph_ids = {r.sentence_id: r.paragraph_id for r in records}
-            table = corpus.build_table(token_lists, unit=config.unit,
-                                       paragraph_ids=paragraph_ids)
-            result.summary.append(
-                f"build: {table.shape[0]} {config.unit} rows x {table.shape[1]} words")
-        if target >= STAGES.index("filter"):
-            # filter
-            stage = "filter"
-            stopwords = (corpus.load_word_list(config.stopwords)
-                         if config.stopwords else frozenset())
-            lexicon = (corpus.load_word_list(config.lexicon)
-                       if config.lexicon else None)
-            filt = corpus.CorpusFilter(
-                min_total_count=config.min_total_count,
-                min_doc_count=config.min_doc_count,
-                min_word_length=config.min_word_length,
-                stopwords=stopwords,
-                lexicon=lexicon,
-            )
-            table = corpus.apply_filter(table, filt)
-            result.table = table
-            write("table", "table.csv", corpus.table_to_csv(table))
-            result.summary.append(
-                f"filter: {table.shape[1]} words, {table.total} occurrences, "
-                f"{table.shape[0]} non-empty rows")
-        if target >= STAGES.index("aggregate") and (
-                config.segment_sizes is not None or config.segment_file is not None):
-            # aggregate
-            stage = "aggregate"
-            paragraph_of = {str(r.sentence_id): r.paragraph_id for r in records}
-            if config.unit == "paragraph":
-                paragraph_of = {lab: int(lab) for lab in table.row_labels}
-            segmentation = _segmentation_for(config, table, paragraph_of)
-            table = corpus.aggregate(table, segmentation)
-            result.table = table
-            write("segments", "table_segments.csv", corpus.table_to_csv(table))
-            result.summary.append(f"aggregate: {table.shape[0]} segments")
-        if target >= STAGES.index("fit_ca"):
-            # fit_ca
-            stage = "fit_ca"
-            model = ca.fit_ca(table)
-            result.model = model
-            write("inertia", "inertia.csv", ca.inertia_table_csv(model))
-            write("row_coords", "row_coordinates.csv", ca.coordinates_csv(model, "row"))
-            write("col_coords", "col_coordinates.csv", ca.coordinates_csv(model, "col"))
-            write("row_contrib", "row_contributions.csv", ca.contributions_csv(model, "row"))
-            write("col_contrib", "col_contributions.csv", ca.contributions_csv(model, "col"))
-            result.summary.append(
-                f"fit_ca: {model.n_axes} axes, total inertia {model.total_inertia:.6g}")
-        if target >= STAGES.index("cluster"):
-            # cluster
-            stage = "cluster"
-            n_axes = model.n_axes if config.axes == 0 else min(config.axes, model.n_axes)
-            coords = model.row_coords[:, :n_axes]
-            if config.cluster == "ward":
-                cloud = clustering.PointCloud(table.row_labels, coords,
-                                              masses=model.row_masses.copy())
-                dendrogram = clustering.ward_cluster(cloud)
-            else:
-                cloud = clustering.PointCloud(table.row_labels, coords)
-                dendrogram = clustering.constrained_complete_link(cloud)
-            result.dendrogram = dendrogram
-            write("dendrogram", "dendrogram.txt",
-                  clustering.dendrogram_to_text(dendrogram))
-            result.summary.append(
-                f"cluster: {config.cluster} tree over {len(table.row_labels)} rows "
-                f"({n_axes} axes)")
-        if target >= STAGES.index("cut"):
-            # cut
-            stage = "cut"
-            if config.cut == "max-gap":
-                partition = clustering.cut_max_gap(dendrogram)
-            else:
-                partition = clustering.cut_k(dendrogram, int(config.cut))
-            result.partition = partition
-            write("partition", "partition.csv", clustering.partition_to_csv(partition))
-            sizes = "/".join(str(len(partition.members(c + 1)))
-                             for c in range(partition.k))
-            result.summary.append(f"cut: {partition.k} clusters (sizes {sizes})")
-        if target >= STAGES.index("vtest"):
-            # vtest
-            stage = "vtest"
-            report = characterize.characterize_clusters(
-                table, partition, alpha=config.vtest_alpha)
-            result.report = report
-            write("vtest", "vtest.csv", characterize.report_to_csv(report))
-            result.summary.append(
-                f"vtest: {len(report.entries)} significant word/cluster pairs "
-                f"at alpha {config.vtest_alpha:g}")
-        if target >= STAGES.index("plot"):
-            # plot
-            stage = "plot"
-            ax, ay = config.plot_axes
-            ax = min(ax, model.n_axes)
-            ay = min(ay, model.n_axes)
-            if ax == ay:
-                raise ValueError(
-                    f"cannot draw a plane: axes {config.plot_axes} collapse onto "
-                    f"axis {ax} in a model with {model.n_axes} fitted axes")
-            aggregated = "segments" in result.files
-            if aggregated:
-                plane = plots.render_factor_plane(
-                    model, ax, ay, side="row",
-                    selection=("labels", list(table.row_labels)),
-                    trajectory=True, title="segment trajectory")
-                write("plane_rows", "factor_plane_segments.svg", plane)
-            words = plots.render_factor_plane(
-                model, ax, ay, side="col",
-                selection=("top", min(config.plot_top_k, len(table.col_labels))),
-                title=f"top {min(config.plot_top_k, len(table.col_labels))} "
-                      "contributing words")
-            write("plane_cols", "factor_plane_words.svg", words)
-            tree = plots.render_dendrogram(dendrogram, cut=partition.k,
-                                           title=f"{config.cluster} dendrogram")
-            write("tree", "dendrogram.svg", tree)
-            result.summary.append(
-                f"plot: {len([k for k in result.files if k.startswith('plane')]) + 1} "
-                "SVG files")
-    except StageError:
-        raise
+        for stage, run_stage in _STAGE_TABLE:
+            line = run_stage(config, result)
+            if line is not None:
+                result.summary.append(line)
+            if stage == upto:
+                break
     except Exception as exc:
-        for path in result.files.values():
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - cleanup best effort
-                logger.warning("could not remove partial output %s", path)
+        _remove_artifacts(directory)
         raise StageError(stage, exc) from exc
     return result
-
-
-def config_with_overrides(config: PipelineConfig, out_dir: Path | None) -> PipelineConfig:
-    """CLI helper: apply the --out override without mutating the original."""
-    if out_dir is None:
-        return config
-    return replace(config, out_dir=Path(out_dir))

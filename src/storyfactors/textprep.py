@@ -40,20 +40,6 @@ class TokenList:
     tokens: tuple[str, ...]
 
 
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """Read an abbreviation file: one entry per line, ``#`` starts a comment.
-
-    Entries are matched case-sensitively against the token preceding a
-    period, so ``No`` and ``no`` are distinct entries.
-    """
-    entries: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            entries.add(entry)
-    return frozenset(entries)
-
-
 def _split_paragraphs(raw_text: str) -> list[str]:
     paragraphs: list[str] = []
     block: list[str] = []
@@ -114,8 +100,10 @@ def segment_text(raw_text: str, abbreviations: frozenset[str] = frozenset()) -> 
 
     Paragraphs are separated by one or more blank lines; line breaks inside
     a paragraph count as spaces.  Sentence and paragraph ids are 1-based
-    and increase in text order.  Speakers are left unset; see
-    :func:`annotate_speakers`.
+    and increase in text order.  ``abbreviations`` (for instance read with
+    ``corpus.load_word_list``) are matched case-sensitively against the
+    word before a period, so ``No`` and ``no`` are distinct entries.
+    Speakers are left unset; see :func:`annotate_speakers`.
     """
     records: list[SentenceRecord] = []
     sentence_id = 1
@@ -137,7 +125,11 @@ def load_speaker_map(path: str | Path) -> dict[int, str]:
         for row in reader:
             if not row:
                 continue
-            paragraph_id, label = int(row[0]), row[1].strip()
+            try:
+                paragraph_id, label = int(row[0]), row[1].strip()
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: expected 'paragraph_id,label', "
+                                 f"got {','.join(row)!r}") from None
             if paragraph_id in mapping:
                 raise ValueError(f"duplicate paragraph id {paragraph_id} in speaker map")
             mapping[paragraph_id] = label

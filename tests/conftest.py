@@ -19,7 +19,7 @@ def data_dir() -> Path:
 def poe():
     """Segmented, tokenized bundled text plus its raw sentence table."""
     text = (DATA / "purloined_letter.txt").read_text(encoding="utf-8")
-    abbreviations = textprep.load_abbreviations(DATA / "abbreviations.txt")
+    abbreviations = corpus.load_word_list(DATA / "abbreviations.txt")
     records = textprep.segment_text(text, abbreviations=abbreviations)
     tokens = [textprep.tokenize(r) for r in records]
     table = corpus.build_table(tokens, unit="sentence")

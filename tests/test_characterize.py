@@ -59,10 +59,13 @@ def test_v_test_validation():
         characterize.v_test([1, 2, 3, 4], partition, 3)
 
 
+# Integer values, power-of-two scales and integer shifts keep a * x + b
+# exact; with arbitrary floats the map can round distinct values together
+# (1 + 1e-108 == 1), and the image is then a different sample.
 @given(
-    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=5, max_size=20),
-    st.floats(0.1, 50.0),
-    st.floats(-1e4, 1e4),
+    st.lists(st.integers(-10**6, 10**6).map(float), min_size=5, max_size=20),
+    st.integers(-3, 5).map(lambda k: 2.0 ** k),
+    st.integers(-10**4, 10**4).map(float),
 )
 @settings(max_examples=60, deadline=None)
 def test_v_is_invariant_under_positive_affine_maps(values, a, b):

@@ -205,6 +205,44 @@ def test_stage_error_names_stage_and_removes_outputs(mini):
     assert list(out.iterdir()) == []
 
 
+def test_rerun_with_fewer_stages_leaves_only_its_own_artifacts(mini):
+    root, write_config = mini
+    out = root / "out"
+    pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
+    (out / "notes.txt").write_text("not an artifact")
+    assert cli.main(["cluster", "--config", str(write_config("k4.cfg", cut=4)),
+                     "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "sentences.csv", "table.csv", "inertia.csv",
+        "row_coordinates.csv", "col_coordinates.csv",
+        "row_contributions.csv", "col_contributions.csv",
+        "dendrogram.txt", "partition.csv", "notes.txt"}
+    clusters = {line.split(",")[1] for line in (out / "partition.csv").read_text().splitlines()[1:]}
+    assert clusters == {"1", "2", "3", "4"}
+
+
+def test_failed_rerun_leaves_no_artifacts_of_the_previous_run(mini):
+    root, write_config = mini
+    out = root / "out"
+    pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
+    assert {p.name for p in out.iterdir()} == FULL_RUN_FILES
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(pipeline.parse_config(write_config(cut=999)), out_dir=out)
+    assert excinfo.value.stage == "cut"
+    assert list(out.iterdir()) == []
+
+
+def test_empty_text_is_a_segment_error(mini):
+    root, write_config = mini
+    for name, text in (("empty.txt", ""), ("blank.txt", "  \n\n\t\n")):
+        (root / name).write_text(text)
+        config = pipeline.parse_config(write_config(input_text=name))
+        with pytest.raises(pipeline.StageError) as excinfo:
+            pipeline.run_pipeline(config, out_dir=root / "out")
+        assert excinfo.value.stage == "segment"
+        assert str(excinfo.value) == f"[segment] {root / name} holds no sentences"
+
+
 def test_run_requires_an_output_directory(mini):
     _, write_config = mini
     config = pipeline.parse_config(write_config())
@@ -261,6 +299,12 @@ def test_segment_size_mismatch_is_a_stage_error(mini):
     )
     with pytest.raises(pipeline.StageError, match=r"\[aggregate\]"):
         pipeline.run_pipeline(bad, out_dir=root / "bad")
+    seg_file = root / "seg.csv"
+    seg_file.write_text("1,1\n# comment\nnolabel\n")
+    malformed = pipeline.parse_config(write_config("file.cfg", segment_file="seg.csv"))
+    with pytest.raises(pipeline.StageError,
+                       match=rf"\[aggregate\] {re.escape(str(seg_file))}:3: expected 'label,segment'"):
+        pipeline.run_pipeline(malformed, out_dir=root / "file")
 
 
 def test_paragraph_unit_runs_end_to_end(mini):
@@ -284,15 +328,6 @@ def test_speaker_annotation_flows_into_sentences_csv(mini):
     lines = result.files["sentences"].read_text().splitlines()
     assert lines[1].split(",")[2] == "NARRATOR"
     assert lines[-1].split(",")[2] == "PREFECT"
-
-
-def test_config_with_overrides(mini):
-    root, write_config = mini
-    config = pipeline.parse_config(write_config(out_dir="orig"))
-    assert pipeline.config_with_overrides(config, None) is config
-    moved = pipeline.config_with_overrides(config, root / "new")
-    assert moved.out_dir == root / "new"
-    assert config.out_dir.name == "orig"
 
 
 def test_cli_run_prints_summary_and_writes_files(mini, capsys):

@@ -1,10 +1,12 @@
 """Segmentation and tokenization behavior on small synthetic texts."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storyfactors import textprep
+from storyfactors import corpus, textprep
 
 SIMPLE = """First sentence. Second one!
 
@@ -106,7 +108,7 @@ def test_tokens_are_lowercase_ascii_words(raw):
 def test_load_abbreviations_strips_comments(tmp_path):
     path = tmp_path / "abbrev.txt"
     path.write_text("Mr\nDr  # honorific\n# whole-line comment\n\nSt\n")
-    assert textprep.load_abbreviations(path) == frozenset({"Mr", "Dr", "St"})
+    assert corpus.load_word_list(path) == frozenset({"Mr", "Dr", "St"})
 
 
 def test_sentences_csv_round_trip_with_quoting():
@@ -155,3 +157,13 @@ def test_load_speaker_map_validates(tmp_path):
     duplicate.write_text("paragraph_id,label\n1,X\n1,Y\n")
     with pytest.raises(ValueError, match="duplicate"):
         textprep.load_speaker_map(duplicate)
+
+    bad_id = tmp_path / "bad_id.csv"
+    bad_id.write_text("paragraph_id,label\n1,X\nx,Y\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(bad_id))}:3: expected 'paragraph_id,label'"):
+        textprep.load_speaker_map(bad_id)
+
+    no_label = tmp_path / "no_label.csv"
+    no_label.write_text("paragraph_id,label\n1\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(no_label))}:2: expected"):
+        textprep.load_speaker_map(no_label)
