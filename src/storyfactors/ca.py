@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -263,9 +264,15 @@ def contributions_csv(model: CAModel, side: str = "row") -> str:
 
 
 def _matrix_csv(labels: tuple[str, ...], matrix: np.ndarray, n_axes: int) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """Quote labels with csv; format each row of numbers with one template."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(["label", *(f"axis_{k + 1}" for k in range(n_axes))])
-    for label, row in zip(labels, matrix):
-        writer.writerow([label, *(_fmt(v) for v in row)])
-    return buffer.getvalue()
+    if n_axes == 0:  # csv quotes a lone empty field, so keep its own rows
+        writer.writerows((label,) for label in labels)
+        return "".join(lines)
+    writer.writerows((label, "") for label in labels)  # quoted label + ",\n"
+    template = ",%.12g" * n_axes + "\n"  # bytes of format(v, ".12g"), never quoted
+    for i, row in enumerate(matrix, start=1):
+        lines[i] = lines[i][:-2] + template % tuple(row.tolist())
+    return "".join(lines)

@@ -6,7 +6,8 @@ chronology-constrained complete link, where only clusters adjacent in
 the sequence may merge and the height is the maximum pairwise Euclidean
 distance.  Both use Lance-Williams cost updates on a full matrix and are
 monotone.  Nodes are numbered like scipy: leaves 0..n-1 in chronological
-order, merge t creates node n+t.
+order, merge t creates node n+t.  Memory is O(n^2) for the cost matrix;
+constrained complete link adds one 32 MB row block of pair differences.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+_PAIR_BLOCK = 2**22  # float64 pair differences per block of distance rows (32 MB)
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -25,14 +28,14 @@ class PointCloud:
     masses: np.ndarray | None = None  # default unit masses
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
+        coords = np.array(self.coords, dtype=float)  # a copy, so freezing it spares the caller
         if coords.ndim != 2 or coords.shape[0] != len(self.labels):
             raise ValueError(f"coords shape {coords.shape} does not fit {len(self.labels)} labels")
         masses = self.masses
         if masses is None:
             masses = np.ones(len(self.labels))
         else:
-            masses = np.asarray(masses, dtype=float)
+            masses = np.array(masses, dtype=float)
             if masses.shape != (len(self.labels),) or (masses <= 0).any():
                 raise ValueError("masses must be positive, one per point")
         coords.setflags(write=False)
@@ -150,7 +153,8 @@ def constrained_complete_link(
 
     ``order`` permutes the labels into chronological sequence (identity by
     default).  Every cluster at every stage is an interval of the sequence.
-    Ties go to the leftmost adjacent pair.
+    Ties go to the leftmost adjacent pair.  Memory is the n x n cost matrix
+    plus one row block of pair differences: 32 MB, or one row if that is more.
     """
     n = len(cloud)
     if n < 2:
@@ -165,27 +169,35 @@ def constrained_complete_link(
     coords = cloud.coords[perm]
     labels = tuple(cloud.labels[i] for i in perm)
 
-    diff = coords[:, None, :] - coords[None, :, :]
-    cost = np.sqrt(np.sum(diff**2, axis=2))
-    np.fill_diagonal(cost, np.inf)
-    # ``chain`` holds the active clusters left to right as slot indices.
+    # Distances in row blocks of at most _PAIR_BLOCK differences (or one row);
+    # each sums the same contiguous vector as an n x n x d tensor, bit for bit.
+    cost = np.empty((n, n))
+    rows = max(1, _PAIR_BLOCK // max(n * coords.shape[1], 1))
+    for start in range(0, n, rows):
+        diff = coords[start:start + rows, None, :] - coords[None, :, :]
+        diff *= diff
+        cost[start:start + rows] = np.sqrt(np.sum(diff, axis=2))
+        del diff  # freed before the next block is allocated
+    # ``chain`` holds the active clusters left to right as slot indices and
+    # ``adjacent[t]`` the cost of merging chain[t] with chain[t + 1].
     chain = list(range(n))
+    adjacent = cost[chain[:-1], chain[1:]]
     node_id = list(range(n))
     sizes = [1] * n
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
-        adjacent = [(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
-        costs = np.array([cost[a, b] for a, b in adjacent])
-        t = int(np.argmin(costs))  # argmin returns the leftmost tie
-        a, b = adjacent[t]
-        height = float(costs[t])
-        merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]), height, sizes[a] + sizes[b]))
-        others = [s for s in chain if s not in (a, b)]
-        if others:
-            cost[a, others] = np.maximum(cost[a, others], cost[b, others])
-            cost[others, a] = cost[a, others]
-        chain.pop(t + 1)
+        t = int(np.argmin(adjacent))  # argmin returns the leftmost tie
+        a, b = chain[t], chain[t + 1]
+        merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]), float(adjacent[t]), sizes[a] + sizes[b]))
+        np.maximum(cost[a], cost[b], out=cost[a])
+        cost[:, a] = cost[a]  # slots merged away go stale and are never read
+        del chain[t + 1]
+        adjacent = np.delete(adjacent, t)
+        if t > 0:
+            adjacent[t - 1] = cost[a, chain[t - 1]]
+        if t < len(adjacent):
+            adjacent[t] = cost[a, chain[t + 1]]
         sizes[a] += sizes[b]
         node_id[a] = n + step
     return Dendrogram(tuple(merges), n, "constrained_complete", labels)

@@ -325,7 +325,7 @@ def _cluster(config: PipelineConfig, result: PipelineResult) -> str:
     n_axes = min(config.axes or model.n_axes, model.n_axes)
     coords = model.row_coords[:, :n_axes]
     if config.cluster == "ward":
-        cloud = clustering.PointCloud(labels, coords, masses=model.row_masses.copy())
+        cloud = clustering.PointCloud(labels, coords, masses=model.row_masses)
         dendrogram = clustering.ward_cluster(cloud)
     else:
         cloud = clustering.PointCloud(labels, coords)

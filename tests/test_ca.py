@@ -1,5 +1,8 @@
 """Correspondence analysis: hand oracles, algebraic identities, exports."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -269,3 +272,25 @@ def test_coordinate_and_contribution_csv_layout():
     assert contrib_lines[0] == expected_header
     total = sum(float(line.split(",")[1]) for line in contrib_lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _per_cell_matrix_csv(labels, matrix, n_axes):
+    """Reference export: every cell through csv and format(v, ".12g")."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["label", *(f"axis_{k + 1}" for k in range(n_axes))])
+    for label, row in zip(labels, matrix):
+        writer.writerow([label, *(format(v, ".12g") for v in row)])
+    return buffer.getvalue()
+
+
+def test_matrix_csv_matches_per_cell_formatting():
+    rng = np.random.default_rng(11)
+    labels = ("plain", "", "a,b", 'say "hi"', "two\nlines", "caf\u00e9", " pad ")
+    for n_axes in (0, 1, 4):
+        shape = (len(labels), n_axes)
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        if n_axes:
+            matrix[0] = [np.inf, -0.0, np.nan, 1e16][:n_axes]
+            matrix[1, 0] = 123456789012.5
+        assert ca._matrix_csv(labels, matrix, n_axes) == _per_cell_matrix_csv(labels, matrix, n_axes)

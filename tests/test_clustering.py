@@ -1,5 +1,7 @@
 """Hierarchical clustering: oracles, brute-force cross-checks, cuts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ def test_point_cloud_validation():
         PointCloud(("a", "b"), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="masses"):
         PointCloud(("a", "b"), np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+
+def test_point_cloud_leaves_caller_arrays_writeable():
+    coords, masses = np.zeros((3, 2)), np.ones(3)
+    cloud = PointCloud(("a", "b", "c"), coords, masses)
+    assert coords.flags.writeable and masses.flags.writeable
+    assert not cloud.coords.flags.writeable and not cloud.masses.flags.writeable
+    coords[0, 0] = masses[0] = 5.0
+    assert cloud.coords[0, 0] == 0.0 and cloud.masses[0] == 1.0
 
 
 def test_two_point_ward_height():
@@ -154,6 +165,91 @@ def test_constrained_matches_brute_force_exactly():
         labels, coords = random_cloud_arrays(rng, n, duplicates=trial % 2 == 0)
         dendrogram = clustering.constrained_complete_link(PointCloud(labels, coords))
         assert list(dendrogram.merges) == _brute_constrained(coords)
+
+
+def _full_tensor_constrained(coords):
+    """Constrained complete link over the whole n x n x d difference tensor.
+
+    Kept as the bitwise reference for the row-blocked distance fill and the
+    array of adjacent costs.
+    """
+    n = len(coords)
+    diff = coords[:, None, :] - coords[None, :, :]
+    cost = np.sqrt(np.sum(diff**2, axis=2))
+    np.fill_diagonal(cost, np.inf)
+    chain = list(range(n))
+    node_id = list(range(n))
+    sizes = [1] * n
+    merges = []
+    for step in range(n - 1):
+        adjacent = [(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
+        costs = np.array([cost[a, b] for a, b in adjacent])
+        t = int(np.argmin(costs))
+        a, b = adjacent[t]
+        merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]),
+                       float(costs[t]), sizes[a] + sizes[b]))
+        others = [s for s in chain if s not in (a, b)]
+        if others:
+            cost[a, others] = np.maximum(cost[a, others], cost[b, others])
+            cost[others, a] = cost[a, others]
+        chain.pop(t + 1)
+        sizes[a] += sizes[b]
+        node_id[a] = n + step
+    return merges
+
+
+def test_constrained_matches_full_tensor_across_row_blocks():
+    n, d = 300, 100
+    assert -(-n // (clustering._PAIR_BLOCK // (n * d))) >= 3
+    rng = np.random.default_rng(41)
+    gaussian = rng.normal(size=(n, d))
+    gaussian[1] = gaussian[0]
+    gaussian[150:160] = gaussian[149]
+    tied = rng.integers(0, 2, size=(n, d)).astype(float)  # many equal distances
+    tied[200:] = tied[:100]
+    for coords in (gaussian, tied):
+        labels = tuple(f"p{i}" for i in range(n))
+        dendrogram = clustering.constrained_complete_link(PointCloud(labels, coords))
+        assert list(dendrogram.merges) == _full_tensor_constrained(coords)
+
+
+def test_constrained_memory_is_bounded_by_one_row_block():
+    rng = np.random.default_rng(43)
+    cloud = PointCloud(tuple(f"p{i}" for i in range(400)), rng.normal(size=(400, 380)))
+    tracemalloc.start()
+    try:
+        clustering.constrained_complete_link(cloud)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 32 MiB block of differences plus the 1.3 MB cost matrix; a second
+    # live block or the n x n x d tensor (490 MB) would exceed this.
+    assert peak < 50e6
+
+
+def test_ward_agrees_with_scipy_linkage():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        n = int(rng.integers(3, 40))
+        labels, coords = random_cloud_arrays(rng, n, dim=int(rng.integers(1, 6)))
+        dendrogram = clustering.ward_cluster(PointCloud(labels, coords))
+        linkage = hierarchy.linkage(coords, "ward")
+        # With unit masses scipy's Ward distance is sqrt(2 dI).
+        np.testing.assert_allclose(
+            np.sort(np.sqrt(2.0 * np.array(dendrogram.heights))),
+            np.sort(linkage[:, 2]), rtol=1e-9)
+        for k in range(1, n + 1):
+            ours = clustering.cut_k(dendrogram, k).assignment
+            theirs = hierarchy.fcluster(linkage, k, "maxclust")
+            assert _blocks(ours[label] for label in labels) == _blocks(theirs)
+
+
+def _blocks(ids):
+    groups = {}
+    for position, cid in enumerate(ids):
+        groups.setdefault(cid, set()).add(position)
+    return {frozenset(group) for group in groups.values()}
 
 
 def test_heights_are_monotone_for_both_criteria():
