@@ -5,8 +5,9 @@ is the inertia increase dI = (m_a m_b / (m_a + m_b)) ||c_a - c_b||^2, and
 chronology-constrained complete link, where only clusters adjacent in
 the sequence may merge and the height is the maximum pairwise Euclidean
 distance.  Both use Lance-Williams cost updates on a full matrix and are
-monotone.  Nodes are numbered like scipy: leaves 0..n-1 in chronological
-order, merge t creates node n+t.  Memory is O(n^2) for the cost matrix;
+monotone; Ward caches each row's nearest neighbour, so a merge is O(n).
+Nodes are numbered like scipy: leaves 0..n-1 in chronological order,
+merge t creates node n+t.  Memory is O(n^2) for the cost matrix;
 constrained complete link adds one 32 MB row block of pair differences.
 """
 
@@ -102,8 +103,10 @@ def _pair_costs_ward(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def ward_cluster(cloud: PointCloud) -> Dendrogram:
     """Agglomerate by minimum inertia increase; heights are the increases.
 
-    Ties go to the pair whose (earliest-member, earliest-member) positions
-    are lexicographically smallest.
+    Ties go to the leftmost row, then the leftmost column, of least cost
+    among active slots (a merge keeps the lower slot, so earliest members
+    win).  Rows cache their nearest active slot to the right (Muellner 2011):
+    O(n^2) memory, O(n) work per merge plus one rescan per stale cache entry.
     """
     n = len(cloud)
     if n < 2:
@@ -111,37 +114,44 @@ def ward_cluster(cloud: PointCloud) -> Dendrogram:
     cost = _pair_costs_ward(cloud.coords, cloud.masses)
     np.fill_diagonal(cost, np.inf)
     masses = cloud.masses.copy()
-    active = np.ones(n, dtype=bool)
+    # nn[i] is the leftmost j > i of least cost[i, j] and dmin[i] that cost;
+    # merged-away slots have inf rows, columns and dmin, and nn = -1.
+    nn = np.full(n, -1)
+    dmin = np.full(n, np.inf)
+
+    def rescan(i: int) -> None:
+        j = i + 1 + int(np.argmin(cost[i, i + 1:]))
+        nn[i], dmin[i] = j, cost[i, j]
+
+    for i in range(n - 1):
+        rescan(i)
     node_id = list(range(n))
-    first = list(range(n))  # earliest leaf position per slot
     sizes = [1] * n
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
-        masked = np.where(active[:, None] & active[None, :], cost, np.inf)
-        best = masked.min()
-        ii, jj = np.nonzero(masked == best)
-        best_key = None
-        for a_, b_ in zip(ii.tolist(), jj.tolist()):
-            a_, b_ = (a_, b_) if a_ < b_ else (b_, a_)
-            key = (first[a_], first[b_]) if first[a_] < first[b_] else (first[b_], first[a_])
-            if best_key is None or key < best_key:
-                pair, best_key = (a_, b_), key
-        a, b = pair
+        a = int(np.argmin(dmin))
+        b, best = int(nn[a]), dmin[a]
         ma, mb = masses[a], masses[b]
         merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]), float(best), sizes[a] + sizes[b]))
-        # Lance-Williams update for Ward costs, written into slot a.
-        other = active.copy()
-        other[[a, b]] = False
-        mo = masses[other]
-        cost[a, other] = (
-            (ma + mo) * cost[a, other] + (mb + mo) * cost[b, other] - mo * best
-        ) / (ma + mb + mo)
-        cost[other, a] = cost[a, other]
-        active[b] = False
+        # Lance-Williams update for Ward costs, written into slot a: the same
+        # arithmetic per active slot; retired slots and the diagonal stay inf,
+        # and so does cost[a, b], which reads cost[b, b].
+        cost[a] = ((ma + masses) * cost[a] + (mb + masses) * cost[b] - masses * best) / (ma + mb + masses)
+        cost[:, a] = cost[a]
+        cost[b] = cost[:, b] = np.inf
+        stale = np.flatnonzero((nn == a) | (nn == b))
+        nn[b], dmin[b] = -1, np.inf
+        # Earlier rows adopt a on a lower cost, or an equal one further left.
+        # Exact Ward costs never fall below dmin after a merge; rounded ones can.
+        column = cost[:a, a]
+        closer = (column < dmin[:a]) | ((column == dmin[:a]) & (nn[:a] > a))
+        nn[:a][closer] = a
+        dmin[:a][closer] = column[closer]
+        for i in stale.tolist():
+            rescan(i)
         masses[a] = ma + mb
         sizes[a] += sizes[b]
-        first[a] = min(first[a], first[b])
         node_id[a] = n + step
     return Dendrogram(tuple(merges), n, "ward", cloud.labels)
 

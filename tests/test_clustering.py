@@ -227,6 +227,108 @@ def test_constrained_memory_is_bounded_by_one_row_block():
     assert peak < 50e6
 
 
+def _cubic_ward(coords, masses):
+    """Ward over the masked n x n cost matrix, rescanned at every merge.
+
+    Kept as the bitwise reference for the nearest-neighbour cache: the
+    same Lance-Williams arithmetic, with ties going to the pair whose
+    earliest members come first.
+    """
+    n = len(coords)
+    cost = clustering._pair_costs_ward(coords, masses)
+    np.fill_diagonal(cost, np.inf)
+    masses = masses.copy()
+    active = np.ones(n, dtype=bool)
+    node_id = list(range(n))
+    first = list(range(n))
+    sizes = [1] * n
+    merges = []
+    for step in range(n - 1):
+        masked = np.where(active[:, None] & active[None, :], cost, np.inf)
+        best = masked.min()
+        ii, jj = np.nonzero(masked == best)
+        best_key = None
+        for a_, b_ in zip(ii.tolist(), jj.tolist()):
+            a_, b_ = (a_, b_) if a_ < b_ else (b_, a_)
+            key = (first[a_], first[b_]) if first[a_] < first[b_] else (first[b_], first[a_])
+            if best_key is None or key < best_key:
+                pair, best_key = (a_, b_), key
+        a, b = pair
+        ma, mb = masses[a], masses[b]
+        merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]),
+                       float(best), sizes[a] + sizes[b]))
+        other = active.copy()
+        other[[a, b]] = False
+        mo = masses[other]
+        cost[a, other] = (
+            (ma + mo) * cost[a, other] + (mb + mo) * cost[b, other] - mo * best
+        ) / (ma + mb + mo)
+        cost[other, a] = cost[a, other]
+        active[b] = False
+        masses[a] = ma + mb
+        sizes[a] += sizes[b]
+        first[a] = min(first[a], first[b])
+        node_id[a] = n + step
+    return merges
+
+
+def _near_tie_tetrahedron(seed):
+    """Four almost equidistant points of almost equal mass, moved at random.
+
+    Two distances and the masses are off by a few ulps, so merging the
+    closest pair can leave an earlier point's least cost tied with, or
+    just above, its new cost to the merged cluster.
+    """
+    rng = np.random.default_rng(seed)
+    s = np.sqrt(0.5) * (1 - int(rng.integers(0, 16)) * 2.0**-53)
+    coords = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0.5, 0.5, 1, s, 0], [0.5, 0.5, 1, -s, 0]])
+    coords[1] = coords[0] + (coords[1] - coords[0]) * (1 - int(rng.integers(0, 16)) * 2.0**-53)
+    rotation, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    coords = coords @ rotation * rng.uniform(0.1, 10) + rng.normal(size=5)
+    return coords, rng.choice([1.0, 1 + 2.0**-52, 1 - 2.0**-53], size=4)
+
+
+def test_ward_matches_cubic_loop_bitwise():
+    rng = np.random.default_rng(53)
+    clouds = []
+    for trial in range(300):
+        n, d = int(rng.integers(2, 121)), int(rng.integers(1, 9))
+        kind = trial % 3
+        if kind == 0:
+            coords = rng.normal(size=(n, d))
+        elif kind == 1:  # small-integer grid: many equal costs
+            coords = rng.integers(0, 2 + trial % 2, size=(n, d)).astype(float)
+        else:  # the second half repeats the first: zero-cost pairs
+            coords = rng.normal(size=(n, d))
+            coords[n - n // 2:] = coords[:n // 2]
+        clouds.append((coords, np.ones(n) if trial % 2 else rng.uniform(0.2, 2.0, size=n)))
+    # Seeds where rounding sends an earlier row's cached neighbour to the
+    # merged slot, by a tie (2112) or a lower cost (547), found by search
+    # with OpenBLAS 0.3.31 (another gemm may round them otherwise); the
+    # random clouds above never do.
+    clouds += [_near_tie_tetrahedron(seed) for seed in (547, 2112)]
+    for coords, masses in clouds:
+        labels = tuple(f"p{i}" for i in range(len(coords)))
+        dendrogram = clustering.ward_cluster(PointCloud(labels, coords, masses))
+        assert list(dendrogram.merges) == _cubic_ward(coords, masses)
+
+
+def test_ward_memory_is_bounded_by_the_cost_matrix():
+    n = 1000
+    rng = np.random.default_rng(59)
+    cloud = PointCloud(tuple(f"p{i}" for i in range(n)), rng.normal(size=(n, 5)),
+                       rng.uniform(0.2, 2.0, size=n))
+    tracemalloc.start()
+    try:
+        clustering.ward_cluster(cloud)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # _pair_costs_ward's n x n temporaries set the peak at about 3.0 cost
+    # matrices (3.15 for the cubic loop); one more n x n copy would pass 3.5.
+    assert peak < 3.5 * n * n * 8
+
+
 def test_ward_agrees_with_scipy_linkage():
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
     rng = np.random.default_rng(47)
@@ -243,6 +345,21 @@ def test_ward_agrees_with_scipy_linkage():
             ours = clustering.cut_k(dendrogram, k).assignment
             theirs = hierarchy.fcluster(linkage, k, "maxclust")
             assert _blocks(ours[label] for label in labels) == _blocks(theirs)
+
+
+def test_ward_agrees_with_scipy_linkage_at_scale():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    rng = np.random.default_rng(61)
+    labels, coords = random_cloud_arrays(rng, 1500, dim=5)
+    dendrogram = clustering.ward_cluster(PointCloud(labels, coords))
+    linkage = hierarchy.linkage(coords, "ward")
+    np.testing.assert_allclose(
+        np.sort(np.sqrt(2.0 * np.array(dendrogram.heights))),
+        np.sort(linkage[:, 2]), rtol=1e-9)
+    for k in (2, 5, 11, 50):
+        ours = clustering.cut_k(dendrogram, k).assignment
+        theirs = hierarchy.fcluster(linkage, k, "maxclust")
+        assert _blocks(ours[label] for label in labels) == _blocks(theirs)
 
 
 def _blocks(ids):
