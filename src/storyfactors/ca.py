@@ -65,9 +65,8 @@ class CAModel:
         return len(self.singular_values)
 
 
-def _orientation_key(table: ContingencyTable) -> tuple:
-    return (len(table.row_labels), len(table.col_labels),
-            table.row_labels, table.col_labels)
+def _orientation_key(row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> tuple:
+    return (len(row_labels), len(col_labels), row_labels, col_labels)
 
 
 def fit_ca(table: ContingencyTable) -> CAModel:
@@ -88,9 +87,9 @@ def fit_ca(table: ContingencyTable) -> CAModel:
         raise ValueError(f"zero row: {table.row_labels[int(np.argmax(row_sums == 0))]!r}")
     if (col_sums == 0).any():
         raise ValueError(f"zero column: {table.col_labels[int(np.argmax(col_sums == 0))]!r}")
-    transposed = table.transpose()
-    if _orientation_key(transposed) < _orientation_key(table):
-        model = fit_ca(transposed)
+    rows, cols = table.row_labels, table.col_labels
+    if _orientation_key(cols, rows) < _orientation_key(rows, cols):
+        model = fit_ca(table.transpose())
         return CAModel(
             row_labels=model.col_labels,
             col_labels=model.row_labels,

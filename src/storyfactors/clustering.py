@@ -92,12 +92,24 @@ class Partition:
 
 
 def _pair_costs_ward(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Ward costs m_i m_j / (m_i + m_j) * ||x_i - x_j||^2 in two n x n buffers.
+
+    Element by element the arithmetic is that of the whole-matrix formula
+    (sq_i + sq_j - 2 x_i.x_j, symmetrized, clipped at 0, times the mass
+    weight), written into place so that no third n x n array is live.
+    """
     sq = np.sum(coords**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T
-    d2 = (d2 + d2.T) * 0.5  # gemm output is not bitwise symmetric
-    np.clip(d2, 0.0, None, out=d2)
-    weight = masses[:, None] * masses[None, :] / (masses[:, None] + masses[None, :])
-    return weight * d2
+    gram = 2.0 * coords @ coords.T
+    d2 = np.add.outer(sq, sq)
+    d2 -= gram
+    np.add(d2, d2.T, out=gram)  # gemm output is not bitwise symmetric
+    gram *= 0.5
+    np.clip(gram, 0.0, None, out=gram)
+    for i, row in enumerate(d2):  # d2 now takes the weights, a row at a time
+        np.multiply(masses[i], masses, out=row)
+        row /= masses[i] + masses
+        row *= gram[i]
+    return d2
 
 
 def ward_cluster(cloud: PointCloud) -> Dendrogram:

@@ -13,7 +13,9 @@ import csv
 import io
 import logging
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +23,8 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 from .textprep import TokenList
+
+_CSV_BLOCK_BYTES = 1 << 20  # output bytes table_to_csv formats per row block
 
 
 @dataclass(frozen=True)
@@ -132,31 +136,26 @@ def build_table(
             raise ValueError(f"no paragraph id for sentence {missing[0]}")
 
     col_index: dict[str, int] = {}
-    for tl in token_lists:
-        for token in tl.tokens:
-            if token not in col_index:
-                col_index[token] = len(col_index)
-    vocabulary = list(col_index)
-    if not vocabulary:
+    cols = [col_index.setdefault(token, len(col_index))
+            for tl in token_lists for token in tl.tokens]
+    if not col_index:
         raise ValueError("empty corpus: no tokens in any document")
 
     if unit == "sentence":
-        doc_of = {tl.sentence_id: i for i, tl in enumerate(token_lists)}
+        doc_rows = list(range(len(token_lists)))
         row_labels = tuple(str(tl.sentence_id) for tl in token_lists)
     else:
         assert paragraph_ids is not None
         row_of: dict[int, int] = {}  # paragraph id -> row, in first-appearance order
-        for tl in token_lists:
-            row_of.setdefault(paragraph_ids[tl.sentence_id], len(row_of))
-        doc_of = {tl.sentence_id: row_of[paragraph_ids[tl.sentence_id]] for tl in token_lists}
+        doc_rows = [row_of.setdefault(paragraph_ids[tl.sentence_id], len(row_of))
+                    for tl in token_lists]
         row_labels = tuple(str(pid) for pid in row_of)
 
-    counts = np.zeros((len(row_labels), len(vocabulary)), dtype=np.int64)
-    for tl in token_lists:
-        i = doc_of[tl.sentence_id]
-        for token in tl.tokens:
-            counts[i, col_index[token]] += 1
-    return ContingencyTable(row_labels, tuple(vocabulary), counts)
+    n, V = len(row_labels), len(col_index)
+    rows = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
+    cells = rows * V + np.array(cols, dtype=np.int64)
+    counts = np.bincount(cells, minlength=n * V).reshape(n, V)
+    return ContingencyTable(row_labels, tuple(col_index), counts)
 
 
 def apply_filter(table: ContingencyTable, filt: CorpusFilter) -> ContingencyTable:
@@ -167,33 +166,27 @@ def apply_filter(table: ContingencyTable, filt: CorpusFilter) -> ContingencyTabl
     at that point (document frequencies are not recomputed after columns
     drop), and finally removal of all-zero rows.
     """
-    keep = np.ones(len(table.col_labels), dtype=bool)
-    words = np.array(table.col_labels)
-    if filt.stopwords:
-        keep &= ~np.isin(words, sorted(filt.stopwords))
-    if filt.min_word_length > 1:
-        keep &= np.array([len(w) >= filt.min_word_length for w in words])
-    if filt.lexicon is not None:
-        keep &= np.isin(words, sorted(filt.lexicon))
-
-    counts = table.counts[:, keep]
-    kept_words = words[keep]
-    totals = counts.sum(axis=0)
-    doc_freq = (counts > 0).sum(axis=0)
-    freq_ok = (totals >= filt.min_total_count) & (doc_freq >= filt.min_doc_count)
-    counts = counts[:, freq_ok]
-    kept_words = kept_words[freq_ok]
-
-    if counts.shape[1] == 0:
+    counts = table.counts
+    # Totals and document frequencies are per column, so evaluating the
+    # thresholds on the whole table and ANDing them with the word passes
+    # keeps exactly the columns the passes would keep one after another.
+    keep = (counts.sum(axis=0) >= filt.min_total_count) & (
+        np.count_nonzero(counts, axis=0) >= filt.min_doc_count)
+    keep &= np.fromiter(
+        ((filt.min_word_length <= 1 or len(w) >= filt.min_word_length)
+         and w not in filt.stopwords
+         and (filt.lexicon is None or w in filt.lexicon) for w in table.col_labels),
+        dtype=bool, count=len(table.col_labels))
+    if not keep.any():
         raise ValueError("empty vocabulary: filter removed every column")
 
-    row_ok = counts.sum(axis=1) > 0
+    row_ok = counts @ keep > 0  # row totals over the kept columns
     dropped = [label for label, ok in zip(table.row_labels, row_ok) if not ok]
     if dropped:
         logger.info("filter emptied %d rows: %s", len(dropped), ", ".join(dropped))
-    counts = counts[row_ok]
-    row_labels = tuple(label for label, ok in zip(table.row_labels, row_ok) if ok)
-    return ContingencyTable(row_labels, tuple(kept_words), counts.copy())
+    return ContingencyTable(tuple(compress(table.row_labels, row_ok)),
+                            tuple(compress(table.col_labels, keep)),
+                            counts[np.ix_(row_ok, keep)])
 
 
 def aggregate(table: ContingencyTable, segmentation: Segmentation) -> ContingencyTable:
@@ -236,13 +229,48 @@ def load_word_list(path: str | Path) -> frozenset[str]:
 
 
 def table_to_csv(table: ContingencyTable) -> str:
-    """Serialize a table: header of word labels, one row per document."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """Serialize a table: header of word labels, one row per document.
+
+    The bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over
+    ``[label, *counts]`` with each count written as ``str(int)``: labels
+    are quoted by csv itself, and the counts, which csv never quotes, are
+    formatted by numpy in row blocks of about ``_CSV_BLOCK_BYTES``.
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(["doc_id", *table.col_labels])
-    for label, row in zip(table.row_labels, table.counts):
-        writer.writerow([label, *row.tolist()])
-    return buffer.getvalue()
+    counts = table.counts
+    n, m = counts.shape
+    if m == 0:  # csv quotes a lone empty field, so keep its own rows
+        writer.writerows((label,) for label in table.row_labels)
+        return "".join(lines)
+    writer.writerows((label, "") for label in table.row_labels)  # quoted label + ",\n"
+    width = len(str(int(counts.max(initial=0))))
+    rows_per_block = max(1, _CSV_BLOCK_BYTES // (m * (width + 1) + 1))
+    for start in range(0, n, rows_per_block):
+        bodies = _count_rows(counts[start:start + rows_per_block], width).split("\n")
+        for i, body in enumerate(bodies[:-1], start=start + 1):
+            lines[i] = lines[i][:-2] + body + "\n"
+    return "".join(lines)
+
+
+def _count_rows(block: np.ndarray, width: int) -> str:
+    """Rows of counts below ``10**width`` as ``",c1,c2,...\\n"`` lines, in decimal."""
+    r, m = block.shape
+    # One byte per digit after a leading comma, plus the row's newline;
+    # leading zeros become NUL bytes and are dropped with one mask.
+    out = np.zeros((r, m * (width + 1) + 1), dtype=np.uint8)
+    out[:, -1] = ord("\n")
+    cells = out[:, :-1].reshape(r, m, width + 1)
+    cells[:, :, 0] = ord(",")
+    rest = block
+    for k in range(width, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        cells[:, :, k] = digit + ord("0")
+    for k in range(1, width):  # position k holds the 10**(width - k) digit
+        cells[:, :, k][block < 10 ** (width - k)] = 0
+    flat = out.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 def table_from_csv(data: str) -> ContingencyTable:

@@ -296,10 +296,11 @@ def _filter(config: PipelineConfig, result: PipelineResult) -> str:
         stopwords=stopwords,
         lexicon=lexicon,
     )
+    built_rows = result.table.shape[0]
     table = result.table = corpus.apply_filter(result.table, filt)
     _write(result, "table", corpus.table_to_csv(table))
     return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
-            f"{table.shape[0]} non-empty rows")
+            f"{table.shape[0]} non-empty rows, {built_rows - table.shape[0]} emptied")
 
 
 def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:

@@ -155,23 +155,38 @@ def annotate_speakers(
     return [replace(record, speaker=speaker_map[record.paragraph_id]) for record in records]
 
 
+class _Fold(dict):
+    """Code point -> what :func:`tokenize_text` makes of it, filled on first sight.
+
+    Combining marks and characters whose lowercase is a digit vanish,
+    lowercase a-z stays, and anything else becomes a separator.  The
+    entries depend on the code point alone, so one table serves every text.
+    """
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        lower = ch.lower()
+        if unicodedata.combining(ch) or lower.isdigit():
+            folded = ""
+        else:
+            folded = lower if "a" <= lower <= "z" else " "
+        self[code] = folded
+        return folded
+
+
+_FOLD = _Fold()
+
+
 def tokenize_text(text: str) -> tuple[str, ...]:
     """Normalize ``text`` to lowercase a-z tokens.
 
     Accents fold to their base letter, digits vanish, and apostrophes along
     with every other punctuation mark act as separators, so ``"It's D--"``
-    yields ``(it, s, d)``.
+    yields ``(it, s, d)``.  After NFKD normalization each code point is
+    folded on its own (see ``_Fold``), so a text's tokens are those of the
+    concatenation of its per-character folds.
     """
-    folded = unicodedata.normalize("NFKD", text)
-    out: list[str] = []
-    for ch in folded:
-        if unicodedata.combining(ch):
-            continue
-        lower = ch.lower()
-        if lower.isdigit():
-            continue
-        out.append(lower if "a" <= lower <= "z" else " ")
-    return tuple("".join(out).split())
+    return tuple(unicodedata.normalize("NFKD", text).translate(_FOLD).split())
 
 
 def tokenize(record: SentenceRecord) -> TokenList:

@@ -142,6 +142,18 @@ def test_transpose_swaps_outputs_exactly():
         assert np.array_equal(swapped.col_masses, model.row_masses)
 
 
+def test_fit_transposes_only_when_the_transpose_sorts_lower(monkeypatch):
+    calls = []
+    transpose = ContingencyTable.transpose
+    monkeypatch.setattr(ContingencyTable, "transpose",
+                        lambda self: calls.append(self.shape) or transpose(self))
+    wide = _table([[4, 1, 2], [2, 3, 1]])
+    ca.fit_ca(wide)
+    assert calls == []
+    ca.fit_ca(wide.transpose())
+    assert calls == [(2, 3), (3, 2)]  # the test's own call, then fit_ca's
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(9)
     table = random_table(rng)
@@ -155,7 +167,8 @@ def test_sign_convention_anchors_largest_column_coordinate():
     for table, model in _random_models(20, seed=77):
         # The convention is fixed in the canonical orientation of the table.
         oriented = model
-        if ca._orientation_key(table.transpose()) < ca._orientation_key(table):
+        rows, cols = table.row_labels, table.col_labels
+        if ca._orientation_key(cols, rows) < ca._orientation_key(rows, cols):
             oriented = ca.fit_ca(table.transpose())
         G = oriented.col_coords
         for k in range(oriented.n_axes):

@@ -1,5 +1,9 @@
 """Contingency table construction, filtering, aggregation, round-trips."""
 
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +228,173 @@ def test_table_csv_round_trip():
 def test_table_from_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="doc_id"):
         corpus.table_from_csv("label,a\nr,1\n")
+
+
+# The loop versions that the numpy paths replaced, kept as exact oracles.
+
+def _reference_build_table(token_lists, unit="sentence", paragraph_ids=None):
+    token_lists = list(token_lists)
+    col_index = {}
+    for tl in token_lists:
+        for token in tl.tokens:
+            if token not in col_index:
+                col_index[token] = len(col_index)
+    vocabulary = list(col_index)
+    if unit == "sentence":
+        doc_of = {tl.sentence_id: i for i, tl in enumerate(token_lists)}
+        row_labels = tuple(str(tl.sentence_id) for tl in token_lists)
+    else:
+        row_of = {}
+        for tl in token_lists:
+            row_of.setdefault(paragraph_ids[tl.sentence_id], len(row_of))
+        doc_of = {tl.sentence_id: row_of[paragraph_ids[tl.sentence_id]] for tl in token_lists}
+        row_labels = tuple(str(pid) for pid in row_of)
+    counts = np.zeros((len(row_labels), len(vocabulary)), dtype=np.int64)
+    for tl in token_lists:
+        i = doc_of[tl.sentence_id]
+        for token in tl.tokens:
+            counts[i, col_index[token]] += 1
+    return corpus.ContingencyTable(row_labels, tuple(vocabulary), counts)
+
+
+def _reference_apply_filter(table, filt):
+    keep = np.ones(len(table.col_labels), dtype=bool)
+    words = np.array(table.col_labels)
+    if filt.stopwords:
+        keep &= ~np.isin(words, sorted(filt.stopwords))
+    if filt.min_word_length > 1:
+        keep &= np.array([len(w) >= filt.min_word_length for w in words])
+    if filt.lexicon is not None:
+        keep &= np.isin(words, sorted(filt.lexicon))
+    counts = table.counts[:, keep]
+    kept_words = words[keep]
+    totals = counts.sum(axis=0)
+    doc_freq = (counts > 0).sum(axis=0)
+    freq_ok = (totals >= filt.min_total_count) & (doc_freq >= filt.min_doc_count)
+    counts = counts[:, freq_ok]
+    kept_words = kept_words[freq_ok]
+    if counts.shape[1] == 0:
+        raise ValueError("empty vocabulary: filter removed every column")
+    row_ok = counts.sum(axis=1) > 0
+    counts = counts[row_ok]
+    row_labels = tuple(label for label, ok in zip(table.row_labels, row_ok) if ok)
+    return corpus.ContingencyTable(row_labels, tuple(kept_words), counts.copy())
+
+
+def _reference_table_to_csv(table):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["doc_id", *table.col_labels])
+    for label, row in zip(table.row_labels, table.counts):
+        writer.writerow([label, *row.tolist()])
+    return buffer.getvalue()
+
+
+def _assert_same_table(got, want):
+    assert got.row_labels == want.row_labels
+    assert got.col_labels == want.col_labels
+    assert all(type(label) is str for label in got.row_labels + got.col_labels)
+    assert got.counts.dtype == want.counts.dtype == np.int64
+    assert np.array_equal(got.counts, want.counts)
+
+
+_WORDS = ("a", "b", "ab", "ba", "abc", "cab", "abcd", "dd", "d", "cc")
+
+
+@st.composite
+def token_corpora(draw):
+    """Token lists with unique sentence ids, some empty, and paragraph ids."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    token_lists = [TokenList(i, tuple(draw(st.lists(st.sampled_from(_WORDS), max_size=8))))
+                   for i in ids]
+    paragraphs = {i: draw(st.integers(1, 4)) for i in ids}
+    return token_lists, paragraphs
+
+
+@given(token_corpora(), st.sampled_from(["sentence", "paragraph"]))
+@settings(max_examples=200, deadline=None)
+def test_build_table_matches_per_token_loop(corpus_and_ids, unit):
+    token_lists, paragraphs = corpus_and_ids
+    if not any(tl.tokens for tl in token_lists):
+        with pytest.raises(ValueError, match="empty corpus"):
+            corpus.build_table(token_lists, unit=unit, paragraph_ids=paragraphs)
+        return
+    _assert_same_table(corpus.build_table(token_lists, unit=unit, paragraph_ids=paragraphs),
+                       _reference_build_table(token_lists, unit, paragraphs))
+
+
+@st.composite
+def word_tables(draw):
+    labels = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=len(_WORDS),
+                           unique=True))
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * len(labels),
+                          max_size=n * len(labels)))
+    return corpus.ContingencyTable(tuple(f"r{i}" for i in range(n)), tuple(labels),
+                                   np.array(cells, dtype=np.int64).reshape(n, len(labels)))
+
+
+@st.composite
+def filter_passes(draw):
+    """Every pass on or off: stopwords, word length, lexicon, each threshold."""
+    words = st.frozensets(st.sampled_from(_WORDS + ("zz",)), max_size=6)
+    return corpus.CorpusFilter(
+        min_total_count=draw(st.integers(1, 5)) if draw(st.booleans()) else 1,
+        min_doc_count=draw(st.integers(1, 4)) if draw(st.booleans()) else 1,
+        min_word_length=draw(st.integers(1, 4)) if draw(st.booleans()) else 1,
+        stopwords=draw(words) if draw(st.booleans()) else frozenset(),
+        lexicon=draw(words) if draw(st.booleans()) else None,
+    )
+
+
+@given(word_tables(), filter_passes())
+@settings(max_examples=300, deadline=None)
+def test_apply_filter_matches_chained_passes(table, filt):
+    try:
+        want = _reference_apply_filter(table, filt)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            corpus.apply_filter(table, filt)
+        return
+    _assert_same_table(corpus.apply_filter(table, filt), want)
+
+
+def test_apply_filter_keeps_an_empty_label_at_minimum_length_one():
+    table = corpus.ContingencyTable(("r",), ("", "a"), np.array([[1, 1]]))
+    assert corpus.apply_filter(table, corpus.CorpusFilter()).col_labels == ("", "a")
+
+
+# Labels that csv must quote, plus one that stays unquoted only when fields follow.
+_LABEL_CHARS = st.sampled_from(["", ",", '"', "\n", "\r", " ", "é", "ß", "語", "x", "0"])
+_COUNTS = st.one_of(st.integers(0, 12), st.integers(0, 10**18), st.just(10**18))
+
+
+@st.composite
+def labelled_tables(draw):
+    labels = st.lists(st.lists(_LABEL_CHARS, max_size=3).map("".join), unique=True, max_size=5)
+    rows, cols = draw(labels), draw(labels)
+    cells = draw(st.lists(_COUNTS, min_size=len(rows) * len(cols),
+                          max_size=len(rows) * len(cols)))
+    counts = np.array(cells, dtype=np.int64).reshape(len(rows), len(cols))
+    counts[:: draw(st.integers(1, 3))] *= draw(st.integers(0, 1))  # some all-zero rows
+    return corpus.ContingencyTable(tuple(rows), tuple(cols), counts)
+
+
+@given(labelled_tables(), st.integers(1, 200))
+@settings(max_examples=300, deadline=None)
+def test_table_to_csv_matches_csv_writer(table, block_bytes):
+    with mock.patch.object(corpus, "_CSV_BLOCK_BYTES", block_bytes):  # many row blocks
+        assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
+    assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
+
+
+def test_table_to_csv_edge_shapes_match_csv_writer():
+    tables = [
+        corpus.ContingencyTable(("", "a"), (), np.zeros((2, 0), dtype=np.int64)),
+        corpus.ContingencyTable((), ("", "b"), np.zeros((0, 2), dtype=np.int64)),
+        corpus.ContingencyTable(("", "r,1"), ("",), np.array([[0], [10**18]])),
+        corpus.ContingencyTable(("z",), ("a", "b", "c"), np.array([[0, 100, 7]])),
+    ]
+    for table in tables:
+        assert corpus.table_to_csv(table) == _reference_table_to_csv(table)

@@ -1,5 +1,6 @@
 """Config parsing, staged execution, artifact consistency, CLI behavior."""
 
+import hashlib
 import re
 
 import pytest
@@ -156,6 +157,44 @@ def test_summary_counts_match_artifacts(mini):
 
     n_pairs = int(re.search(r"vtest: (\d+) significant", summary["vtest"])[1])
     assert n_pairs == len(result.files["vtest"].read_text().splitlines()) - 1
+
+
+def test_filter_summary_counts_emptied_rows(mini):
+    root, write_config = mini
+    for thresholds in (2, 4):  # 4 keeps only "letter" and empties most sentences
+        config = pipeline.parse_config(write_config(
+            min_total_count=thresholds, min_doc_count=thresholds))
+        result = pipeline.run_pipeline(config, out_dir=root / f"t{thresholds}", upto="filter")
+        built = int(re.search(r"build: (\d+) sentence rows", result.summary[2])[1])
+        rows, emptied = map(int, re.search(
+            r"filter: \d+ words, \d+ occurrences, (\d+) non-empty rows, (\d+) emptied$",
+            result.summary[3]).groups())
+        assert rows == result.table.shape[0]
+        assert emptied == built - rows
+    assert emptied > 0
+
+
+# sha256 of the bundled configs' artifacts that no BLAS call touches: text
+# preparation, counting, filtering and aggregation must reproduce them exactly.
+GOLDEN = {
+    "sections.cfg": {
+        "sentences.csv": "9be010529a184e0bff1f0570402871f2144fd179dc448d3eade143e1e5d82a8c",
+        "table.csv": "d4a918b78294ce51862d1415bdac163f91535f1874afbc8651a2d38152a2bd4f",
+        "table_segments.csv": "ca21a4b3ad76bdd49e0e745f4ed4b22ef26041d6ab816f7f8bb38213b23a7da0",
+    },
+    "nouns.cfg": {
+        "table.csv": "8e7511e2d44281af1e6dc8068ad012bf4920d24c8c0176769afc66a8cd482584",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_configs_reproduce_golden_tables(name, data_dir, tmp_path):
+    config = pipeline.parse_config(data_dir / "configs" / name)
+    result = pipeline.run_pipeline(config, out_dir=tmp_path, upto="aggregate")
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in result.files.values()}
+    assert {file: digests.get(file) for file in GOLDEN[name]} == GOLDEN[name]
 
 
 def test_rerun_is_byte_identical(mini):

@@ -1,9 +1,10 @@
 """Segmentation and tokenization behavior on small synthetic texts."""
 
 import re
+import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storyfactors import corpus, textprep
@@ -103,6 +104,32 @@ def test_tokens_are_lowercase_ascii_words(raw):
     for token in textprep.tokenize_text(raw):
         assert token
         assert all("a" <= ch <= "z" for ch in token)
+
+
+def _reference_tokenize_text(text):
+    """The per-character loop the translate table replaced, kept as the oracle."""
+    folded = unicodedata.normalize("NFKD", text)
+    out = []
+    for ch in folded:
+        if unicodedata.combining(ch):
+            continue
+        lower = ch.lower()
+        if lower.isdigit():
+            continue
+        out.append(lower if "a" <= lower <= "z" else " ")
+    return tuple("".join(out).split())
+
+
+# Letters that decompose, fold or case-map to more than one character,
+# digits outside ASCII, and combining marks on their own.
+_AWKWARD = "İıﬁﬂ²³½٣۷ẞßÆæŒœǅǈÅåéÉñÑ\u0301\u0308\u0327\u200b\u00a0Σσς'-.,9 aZ"
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=60))
+@settings(max_examples=300, deadline=None)
+@example("İstanbul ﬁne x² ٣ ẞtraße Cafe\u0301 naï\u0308ve")
+def test_tokenize_text_matches_per_character_loop(raw):
+    assert textprep.tokenize_text(raw) == _reference_tokenize_text(raw)
 
 
 def test_load_abbreviations_strips_comments(tmp_path):
