@@ -4,11 +4,13 @@ Two criteria: Ward minimum variance (unconstrained), whose merge height
 is the inertia increase dI = (m_a m_b / (m_a + m_b)) ||c_a - c_b||^2, and
 chronology-constrained complete link, where only clusters adjacent in
 the sequence may merge and the height is the maximum pairwise Euclidean
-distance.  Both use Lance-Williams cost updates on a full matrix and are
-monotone; Ward caches each row's nearest neighbour, so a merge is O(n).
-Nodes are numbered like scipy: leaves 0..n-1 in chronological order,
-merge t creates node n+t.  Memory is O(n^2) for the cost matrix;
-constrained complete link adds one 32 MB row block of pair differences.
+distance.  Both are monotone.  Ward updates a full n x n cost matrix by
+Lance-Williams and caches each row's nearest neighbour, so a merge is
+O(n); its memory is two n x n buffers while the costs are filled, one
+after.  Constrained complete link keeps only the chain of intervals and
+the costs between neighbours: O(n) memory plus one 8 MB buffer of pair
+differences.  Nodes are numbered like scipy: leaves 0..n-1 in
+chronological order, merge t creates node n+t.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-_PAIR_BLOCK = 2**22  # float64 pair differences per block of distance rows (32 MB)
+_PAIR_BLOCK = 2**20  # float64 pair differences computed at once (8 MB)
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,9 @@ def constrained_complete_link(
 
     ``order`` permutes the labels into chronological sequence (identity by
     default).  Every cluster at every stage is an interval of the sequence.
-    Ties go to the leftmost adjacent pair.  Memory is the n x n cost matrix
-    plus one row block of pair differences: 32 MB, or one row if that is more.
+    Ties go to the leftmost adjacent pair.  Only neighbouring intervals are
+    compared (Murtagh 1985), so memory is O(n) plus one buffer of at most
+    ``_PAIR_BLOCK`` pair differences (8 MB), or of one row if that is more.
     """
     n = len(cloud)
     if n < 2:
@@ -190,38 +193,58 @@ def constrained_complete_link(
         perm = [position[label] for label in order]
     coords = cloud.coords[perm]
     labels = tuple(cloud.labels[i] for i in perm)
+    d = coords.shape[1]
+    width = max(d, 1)  # buffer elements per pair, so that d = 0 sizes like d = 1
+    # One row of any cross block fits, and so does the largest cross block
+    # (at most n^2 / 4 pairs) when it is smaller than _PAIR_BLOCK.
+    buffer = np.empty(max(min(_PAIR_BLOCK, n * n // 4 * width), n * width))
+    sums = np.empty(len(buffer) // width)
 
-    # Distances in row blocks of at most _PAIR_BLOCK differences (or one row);
-    # each sums the same contiguous vector as an n x n x d tensor, bit for bit.
-    cost = np.empty((n, n))
-    rows = max(1, _PAIR_BLOCK // max(n * coords.shape[1], 1))
-    for start in range(0, n, rows):
-        diff = coords[start:start + rows, None, :] - coords[None, :, :]
-        diff *= diff
-        cost[start:start + rows] = np.sqrt(np.sum(diff, axis=2))
-        del diff  # freed before the next block is allocated
-    # ``chain`` holds the active clusters left to right as slot indices and
-    # ``adjacent[t]`` the cost of merging chain[t] with chain[t + 1].
-    chain = list(range(n))
-    adjacent = cost[chain[:-1], chain[1:]]
+    def farthest(i0: int, i1: int, j0: int, j1: int) -> float:
+        """Largest distance between a point of [i0, i1) and one of [j0, j1).
+
+        Each distance sums the same contiguous d-vector of squared
+        differences as a whole n x n x d tensor would, and sqrt is monotone,
+        so the result is bitwise the maximum of those distances.
+        """
+        cols = j1 - j0
+        rows = max(1, _PAIR_BLOCK // (cols * width))
+        best = -np.inf
+        for start in range(i0, i1, rows):
+            stop = min(start + rows, i1)
+            diff = buffer[:(stop - start) * cols * d].reshape(stop - start, cols, d)
+            np.subtract(coords[start:stop, None, :], coords[None, j0:j1, :], out=diff)
+            diff *= diff
+            square = sums[:(stop - start) * cols].reshape(stop - start, cols)
+            np.sum(diff, axis=2, out=square)
+            best = np.maximum(best, square.max())
+        return np.sqrt(best)
+
+    # ``starts`` holds the first point of each active interval, left to
+    # right, and ``adjacent[t]`` the cost of merging intervals t and t + 1.
+    # A merge of A and B compares only the pairs new to a neighbour:
+    # D(L, AB) = max(D(L, A), D(L, B)) and D(AB, R) = max(D(A, R), D(B, R)),
+    # so every point pair is measured once, when its intervals first touch.
+    diff = coords[:-1] - coords[1:]
+    diff *= diff
+    adjacent = np.sqrt(np.sum(diff, axis=1))
+    del diff
+    starts = list(range(n + 1))  # the final entry closes the last interval
     node_id = list(range(n))
-    sizes = [1] * n
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
         t = int(np.argmin(adjacent))  # argmin returns the leftmost tie
-        a, b = chain[t], chain[t + 1]
-        merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]), float(adjacent[t]), sizes[a] + sizes[b]))
-        np.maximum(cost[a], cost[b], out=cost[a])
-        cost[:, a] = cost[a]  # slots merged away go stale and are never read
-        del chain[t + 1]
-        adjacent = np.delete(adjacent, t)
+        a0, b0, b1 = starts[t], starts[t + 1], starts[t + 2]
+        merges.append((min(node_id[t], node_id[t + 1]), max(node_id[t], node_id[t + 1]),
+                       float(adjacent[t]), b1 - a0))
         if t > 0:
-            adjacent[t - 1] = cost[a, chain[t - 1]]
-        if t < len(adjacent):
-            adjacent[t] = cost[a, chain[t + 1]]
-        sizes[a] += sizes[b]
-        node_id[a] = n + step
+            adjacent[t - 1] = np.maximum(adjacent[t - 1], farthest(starts[t - 1], a0, b0, b1))
+        if t + 1 < len(adjacent):
+            adjacent[t + 1] = np.maximum(adjacent[t + 1], farthest(a0, b0, b1, starts[t + 3]))
+        adjacent = np.delete(adjacent, t)
+        del starts[t + 1], node_id[t + 1]
+        node_id[t] = n + step
     return Dendrogram(tuple(merges), n, "constrained_complete", labels)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,11 @@ _ROW_COLOR = "#1f77b4"
 _COL_COLOR = "#d62728"
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _LABEL_STEP = 12.0  # vertical stacking offset for overlapping labels
+
+
+def _escape(content: str) -> str:
+    """XML character data: the bytes of ``xml.sax.saxutils.escape``'s defaults."""
+    return content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -64,7 +68,7 @@ class _Canvas:
         self.parts.append(
             f"<text x=\"{_fmt(x)}\" y=\"{_fmt(y)}\" font-size=\"{size:g}\" "
             f"fill=\"{fill}\" text-anchor=\"{anchor}\" {_FONT}{transform}>"
-            f"{escape(content)}</text>\n"
+            f"{_escape(content)}</text>\n"
         )
 
     def raw(self, fragment: str) -> None:

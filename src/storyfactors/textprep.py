@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-_TERMINATORS = frozenset(".!?")
-# Closing punctuation that belongs to the sentence it terminates.
-_TRAILERS = frozenset("'\"’”)]")
+# A run of terminators, then any closing punctuation that belongs to the
+# sentence it ends: all of the run, and only when the run is followed by
+# a space, a tab or the end of the paragraph.
+_BOUNDARY = re.compile(r"""([.!?]+)(?:['"’”)\]]+(?=[ \t]|\Z))?""")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
 
@@ -65,30 +67,18 @@ def _word_before(text: str, index: int) -> str:
 def _split_sentences(paragraph: str, abbreviations: frozenset[str]) -> list[str]:
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(paragraph)
-    while i < n:
-        ch = paragraph[i]
-        if ch not in _TERMINATORS:
+    for match in _BOUNDARY.finditer(paragraph):
+        # A period after a listed abbreviation ends nothing; the run is a
+        # boundary from its first terminator that is not such a period.
+        i, run_end = match.start(), match.end(1)
+        while i < run_end and paragraph[i] == "." and _word_before(paragraph, i) in abbreviations:
             i += 1
+        if i == run_end:
             continue
-        if ch == "." and _word_before(paragraph, i) in abbreviations:
-            i += 1
-            continue
-        # Collapse a run of terminators into one boundary.
-        while i < n and paragraph[i] in _TERMINATORS:
-            i += 1
-        # Closing quotes stay with the sentence only when the whole run of
-        # them really closes it (end of paragraph or followed by whitespace).
-        run_end = i
-        while run_end < n and paragraph[run_end] in _TRAILERS:
-            run_end += 1
-        if run_end > i and (run_end == n or paragraph[run_end] in " \t"):
-            i = run_end
-        sentence = paragraph[start:i].strip()
+        sentence = paragraph[start:match.end()].strip()
         if sentence:
             sentences.append(sentence)
-        start = i
+        start = match.end()
     tail = paragraph[start:].strip()
     if tail:
         sentences.append(tail)

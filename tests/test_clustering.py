@@ -227,6 +227,107 @@ def test_constrained_memory_is_bounded_by_one_row_block():
     assert peak < 50e6
 
 
+_MATRIX_ROW_BLOCK = 2**22
+
+
+def _matrix_constrained(cloud, order=None):
+    """Constrained complete link over the full n x n cost matrix.
+
+    The algorithm before the interval chain, kept verbatim (its row block
+    renamed) as the bitwise reference for merges and heights.
+    """
+    n = len(cloud)
+    if n < 2:
+        raise ValueError("clustering needs at least 2 points")
+    if order is None:
+        perm = list(range(n))
+    else:
+        if sorted(order) != sorted(cloud.labels):
+            raise ValueError("order must be a permutation of the cloud labels")
+        position = {label: i for i, label in enumerate(cloud.labels)}
+        perm = [position[label] for label in order]
+    coords = cloud.coords[perm]
+    labels = tuple(cloud.labels[i] for i in perm)
+
+    # Distances in row blocks of at most _PAIR_BLOCK differences (or one row);
+    # each sums the same contiguous vector as an n x n x d tensor, bit for bit.
+    cost = np.empty((n, n))
+    rows = max(1, _MATRIX_ROW_BLOCK // max(n * coords.shape[1], 1))
+    for start in range(0, n, rows):
+        diff = coords[start:start + rows, None, :] - coords[None, :, :]
+        diff *= diff
+        cost[start:start + rows] = np.sqrt(np.sum(diff, axis=2))
+        del diff  # freed before the next block is allocated
+    # ``chain`` holds the active clusters left to right as slot indices and
+    # ``adjacent[t]`` the cost of merging chain[t] with chain[t + 1].
+    chain = list(range(n))
+    adjacent = cost[chain[:-1], chain[1:]]
+    node_id = list(range(n))
+    sizes = [1] * n
+    merges: list[tuple[int, int, float, int]] = []
+
+    for step in range(n - 1):
+        t = int(np.argmin(adjacent))  # argmin returns the leftmost tie
+        a, b = chain[t], chain[t + 1]
+        merges.append((min(node_id[a], node_id[b]), max(node_id[a], node_id[b]), float(adjacent[t]), sizes[a] + sizes[b]))
+        np.maximum(cost[a], cost[b], out=cost[a])
+        cost[:, a] = cost[a]  # slots merged away go stale and are never read
+        del chain[t + 1]
+        adjacent = np.delete(adjacent, t)
+        if t > 0:
+            adjacent[t - 1] = cost[a, chain[t - 1]]
+        if t < len(adjacent):
+            adjacent[t] = cost[a, chain[t + 1]]
+        sizes[a] += sizes[b]
+        node_id[a] = n + step
+    return Dendrogram(tuple(merges), n, "constrained_complete", labels)
+
+
+@pytest.mark.parametrize("block", [64, 1])
+def test_constrained_matches_cost_matrix_bitwise(monkeypatch, block):
+    # Small blocks split most cross blocks into several row chunks (64) or
+    # single rows (1); the default block covers the whole-block case.
+    monkeypatch.setattr(clustering, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(71 + block)
+    for trial in range(160):
+        n, d = int(rng.integers(2, 91)), int(rng.integers(0, 13))
+        kind = trial % 4
+        if kind == 0:
+            coords = rng.normal(size=(n, d))
+        elif kind in (1, 2):  # 0/1 and 0/1/2 grids: many equal distances
+            coords = rng.integers(0, kind + 1, size=(n, d)).astype(float)
+        else:  # the second half repeats the first: zero distances
+            coords = rng.normal(size=(n, d))
+            coords[n - n // 2:] = coords[:n // 2]
+        labels = tuple(f"p{i}" for i in range(n))
+        cloud = PointCloud(labels, coords)
+        order = None if trial % 3 else tuple(labels[i] for i in rng.permutation(n))
+        got = clustering.constrained_complete_link(cloud, order=order)
+        assert got == _matrix_constrained(cloud, order=order)
+
+
+def test_constrained_matches_cost_matrix_at_scale():
+    rng = np.random.default_rng(73)
+    for n, d in ((1267, 5), (393, 380)):
+        cloud = PointCloud(tuple(f"p{i}" for i in range(n)), rng.normal(size=(n, d)))
+        assert clustering.constrained_complete_link(cloud) == _matrix_constrained(cloud)
+
+
+def test_constrained_memory_is_linear_in_points():
+    n = 4000
+    rng = np.random.default_rng(79)
+    cloud = PointCloud(tuple(f"p{i}" for i in range(n)), rng.normal(size=(n, 5)))
+    tracemalloc.start()
+    try:
+        clustering.constrained_complete_link(cloud)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 8 MiB difference buffer and its 1.7 MB of row sums (about 10.4 MB
+    # measured); an n x n cost matrix alone is 128 MB.
+    assert peak < 32e6
+
+
 def _cubic_ward(coords, masses):
     """Ward over the masked n x n cost matrix, rescanned at every merge.
 

@@ -1,9 +1,12 @@
 """SVG renderers: well-formedness, selection rules, layout invariants."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from storyfactors import ca, clustering, plots
 from storyfactors.corpus import ContingencyTable
@@ -187,3 +190,10 @@ def test_many_leaves_drop_individual_labels():
     svg = plots.render_dendrogram(clustering.constrained_complete_link(cloud))
     assert "45 leaves" in svg
     assert "rotate(-90" not in svg
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt#\"' x\u00e9\n") | st.characters()))
+@example("&amp; <a> && >< &lt;")
+@settings(max_examples=200, deadline=None)
+def test_escape_matches_saxutils(content):
+    assert plots._escape(content) == escape(content)

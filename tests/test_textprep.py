@@ -132,6 +132,62 @@ def test_tokenize_text_matches_per_character_loop(raw):
     assert textprep.tokenize_text(raw) == _reference_tokenize_text(raw)
 
 
+_REFERENCE_TERMINATORS = frozenset(".!?")
+_REFERENCE_TRAILERS = frozenset("'\"’”)]")
+
+
+def _reference_split_sentences(paragraph, abbreviations):
+    """The per-character loop the boundary regex replaced, kept as the oracle."""
+    sentences = []
+    start = 0
+    i = 0
+    n = len(paragraph)
+    while i < n:
+        ch = paragraph[i]
+        if ch not in _REFERENCE_TERMINATORS:
+            i += 1
+            continue
+        if ch == "." and textprep._word_before(paragraph, i) in abbreviations:
+            i += 1
+            continue
+        # Collapse a run of terminators into one boundary.
+        while i < n and paragraph[i] in _REFERENCE_TERMINATORS:
+            i += 1
+        # Closing quotes stay with the sentence only when the whole run of
+        # them really closes it (end of paragraph or followed by whitespace).
+        run_end = i
+        while run_end < n and paragraph[run_end] in _REFERENCE_TRAILERS:
+            run_end += 1
+        if run_end > i and (run_end == n or paragraph[run_end] in " \t"):
+            i = run_end
+        sentence = paragraph[start:i].strip()
+        if sentence:
+            sentences.append(sentence)
+        start = i
+    tail = paragraph[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Words (some listed as abbreviations), terminators, closing quotes and
+# brackets, opening brackets, spaces, tabs and line breaks.
+_SENTENCE_PIECES = ["Mr", "No", "no", "e", "a1", "x", ".", ".", "!", "?", "'", '"', "’", "”",
+                    ")", "]", "(", "[", " ", " ", "\t", "\n", "\n\n", "\u00a0", "é"]
+
+
+@given(st.lists(st.sampled_from(_SENTENCE_PIECES) | st.characters(), max_size=40).map("".join),
+       st.frozensets(st.sampled_from(["Mr", "No", "e", "a1", ""])))
+@settings(max_examples=500, deadline=None)
+@example("Mr.. Smith left. No.! Stop?!\" Then \"go.\")x Mr.'\n\nEnd.]", frozenset({"Mr", "No"}))
+@example("Mr.! Mr.. e.) .\t. ...", frozenset({"Mr", ""}))
+@example('Stop."\tGo.)\tNow!”x End', frozenset())
+def test_split_sentences_matches_per_character_loop(raw, abbreviations):
+    for paragraph in textprep._split_paragraphs(raw):
+        assert (textprep._split_sentences(paragraph, abbreviations)
+                == _reference_split_sentences(paragraph, abbreviations))
+
+
 def test_load_abbreviations_strips_comments(tmp_path):
     path = tmp_path / "abbrev.txt"
     path.write_text("Mr\nDr  # honorific\n# whole-line comment\n\nSt\n")
