@@ -18,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ContingencyTable
+from .corpus import ContingencyTable, _labelled_csv
 
 # Relative trim per axis plus an absolute floor: singular values are at
 # most 1 in CA, so anything below 1e-13 is floating-point residue (e.g.
@@ -64,6 +63,14 @@ class CAModel:
     def n_axes(self) -> int:
         return len(self.singular_values)
 
+    def side(self, name: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """``(labels, coords, contrib)`` of the ``"row"`` or ``"col"`` cloud."""
+        if name == "row":
+            return self.row_labels, self.row_coords, self.row_contrib
+        if name == "col":
+            return self.col_labels, self.col_coords, self.col_contrib
+        raise ValueError(f"unknown side {name!r}")
+
 
 def _orientation_key(row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> tuple:
     return (len(row_labels), len(col_labels), row_labels, col_labels)
@@ -73,9 +80,9 @@ def fit_ca(table: ContingencyTable) -> CAModel:
     """Fit CA on a table with at least 2 rows and columns and no zero margins.
 
     The factorization runs in a canonical orientation of the table (the
-    transpose is fitted and swapped back when its shape/label key sorts
-    lower), so fitting a table and fitting its transpose give exactly
-    swapped row and column outputs, bit for bit.
+    transpose is factored and its sides swapped back when its shape/label
+    key sorts lower), so fitting a table and fitting its transpose give
+    exactly swapped row and column outputs, bit for bit.
     """
     counts = table.counts
     n, m = counts.shape
@@ -88,20 +95,9 @@ def fit_ca(table: ContingencyTable) -> CAModel:
     if (col_sums == 0).any():
         raise ValueError(f"zero column: {table.col_labels[int(np.argmax(col_sums == 0))]!r}")
     rows, cols = table.row_labels, table.col_labels
-    if _orientation_key(cols, rows) < _orientation_key(rows, cols):
-        model = fit_ca(table.transpose())
-        return CAModel(
-            row_labels=model.col_labels,
-            col_labels=model.row_labels,
-            row_masses=model.col_masses,
-            col_masses=model.row_masses,
-            singular_values=model.singular_values,
-            row_coords=model.col_coords,
-            col_coords=model.row_coords,
-            row_contrib=model.col_contrib,
-            col_contrib=model.row_contrib,
-            total_inertia=model.total_inertia,
-        )
+    transposed = _orientation_key(cols, rows) < _orientation_key(rows, cols)
+    if transposed:  # the integer margins are exact, so swapping them is too
+        counts, row_sums, col_sums = table.transpose().counts, col_sums, row_sums
 
     total = float(counts.sum())
     P = counts / total
@@ -131,6 +127,8 @@ def fit_ca(table: ContingencyTable) -> CAModel:
         row_contrib = r[:, None] * F**2 / sigma**2
         col_contrib = c[:, None] * G**2 / sigma**2
 
+    if transposed:  # hand each (masses, coords, contrib) triple back to its side
+        (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)
     return CAModel(
         row_labels=table.row_labels,
         col_labels=table.col_labels,
@@ -182,12 +180,7 @@ def top_contributors(
         raise ValueError("no axes given")
     if axis_list[0] < 1 or axis_list[-1] > model.n_axes:
         raise ValueError(f"axes {axis_list} outside 1..{model.n_axes}")
-    if side == "col":
-        labels, contrib = model.col_labels, model.col_contrib
-    elif side == "row":
-        labels, contrib = model.row_labels, model.row_contrib
-    else:
-        raise ValueError(f"unknown side {side!r}")
+    labels, _, contrib = model.side(side)
     summed = contrib[:, [a - 1 for a in axis_list]].sum(axis=1)
     ranked = sorted(zip(labels, summed), key=lambda item: (-item[1], item[0]))
     return [(label, float(value)) for label, value in ranked[:k]]
@@ -205,9 +198,7 @@ def project_supplementary(
     and a profile proportional to the margin lands at the origin.
     """
     profile = np.asarray(profile, dtype=float)
-    opposite = model.col_coords if side == "row" else model.row_coords
-    if side not in ("row", "col"):
-        raise ValueError(f"unknown side {side!r}")
+    _, opposite, _ = model.side({"row": "col", "col": "row"}.get(side, side))
     if profile.shape != (opposite.shape[0],):
         raise ValueError(
             f"profile length {profile.shape} does not match {opposite.shape[0]} {side}-side entries"
@@ -244,34 +235,18 @@ def inertia_table_csv(model: CAModel) -> str:
 
 def coordinates_csv(model: CAModel, side: str = "row") -> str:
     """Principal coordinates as CSV: label, then one column per axis."""
-    labels, coords = (
-        (model.row_labels, model.row_coords)
-        if side == "row"
-        else (model.col_labels, model.col_coords)
-    )
+    labels, coords, _ = model.side(side)
     return _matrix_csv(labels, coords, model.n_axes)
 
 
 def contributions_csv(model: CAModel, side: str = "row") -> str:
     """Contribution shares as CSV: label, then one column per axis."""
-    labels, contrib = (
-        (model.row_labels, model.row_contrib)
-        if side == "row"
-        else (model.col_labels, model.col_contrib)
-    )
+    labels, _, contrib = model.side(side)
     return _matrix_csv(labels, contrib, model.n_axes)
 
 
 def _matrix_csv(labels: tuple[str, ...], matrix: np.ndarray, n_axes: int) -> str:
     """Quote labels with csv; format each row of numbers with one template."""
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(["label", *(f"axis_{k + 1}" for k in range(n_axes))])
-    if n_axes == 0:  # csv quotes a lone empty field, so keep its own rows
-        writer.writerows((label,) for label in labels)
-        return "".join(lines)
-    writer.writerows((label, "") for label in labels)  # quoted label + ",\n"
     template = ",%.12g" * n_axes + "\n"  # bytes of format(v, ".12g"), never quoted
-    for i, row in enumerate(matrix, start=1):
-        lines[i] = lines[i][:-2] + template % tuple(row.tolist())
-    return "".join(lines)
+    return _labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
+                         (template % tuple(row.tolist()) for row in matrix))

@@ -15,6 +15,7 @@ chronological order, merge t creates node n+t.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -333,7 +334,9 @@ def dendrogram_from_text(text: str) -> Dendrogram:
 
 
 def partition_to_csv(partition: Partition) -> str:
-    """CSV ``label,cluster`` in assignment (chronological) order."""
-    lines = ["label,cluster"]
-    lines += [f"{label},{cid}" for label, cid in partition.assignment.items()]
-    return "\n".join(lines) + "\n"
+    """CSV ``label,cluster`` in assignment (chronological) order, labels quoted by csv."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["label", "cluster"])
+    writer.writerows(partition.assignment.items())
+    return buffer.getvalue()

@@ -65,10 +65,6 @@ class ContingencyTable:
     def column_totals(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    def document_frequencies(self) -> np.ndarray:
-        """Number of rows in which each column occurs at least once."""
-        return (self.counts > 0).sum(axis=0)
-
     def transpose(self) -> "ContingencyTable":
         return ContingencyTable(self.col_labels, self.row_labels, self.counts.T.copy())
 
@@ -214,18 +210,21 @@ def aggregate(table: ContingencyTable, segmentation: Segmentation) -> Contingenc
     return ContingencyTable(tuple(str(sid) for sid in order), table.col_labels, counts)
 
 
+def _lines(path: str | Path):
+    """Yield ``(line number, text)`` for each line left after ``#`` comments and blanks."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_word_list(path: str | Path) -> frozenset[str]:
     """Read a one-entry-per-line file; ``#`` starts a comment.
 
     Entries are kept exactly as written (case included), which serves
     stopword lists, lexicons and abbreviation lists alike.
     """
-    words: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.split("#", 1)[0].strip()
-        if word:
-            words.add(word)
-    return frozenset(words)
+    return frozenset(line for _, line in _lines(path))
 
 
 def table_to_csv(table: ContingencyTable) -> str:
@@ -236,21 +235,31 @@ def table_to_csv(table: ContingencyTable) -> str:
     are quoted by csv itself, and the counts, which csv never quotes, are
     formatted by numpy in row blocks of about ``_CSV_BLOCK_BYTES``.
     """
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(["doc_id", *table.col_labels])
     counts = table.counts
     n, m = counts.shape
-    if m == 0:  # csv quotes a lone empty field, so keep its own rows
-        writer.writerows((label,) for label in table.row_labels)
-        return "".join(lines)
-    writer.writerows((label, "") for label in table.row_labels)  # quoted label + ",\n"
     width = len(str(int(counts.max(initial=0))))
     rows_per_block = max(1, _CSV_BLOCK_BYTES // (m * (width + 1) + 1))
-    for start in range(0, n, rows_per_block):
-        bodies = _count_rows(counts[start:start + rows_per_block], width).split("\n")
-        for i, body in enumerate(bodies[:-1], start=start + 1):
-            lines[i] = lines[i][:-2] + body + "\n"
+    bodies = (body for start in range(0, n, rows_per_block) for body in
+              _count_rows(counts[start:start + rows_per_block], width).splitlines(True))
+    return _labelled_csv(["doc_id", *table.col_labels], table.row_labels, bodies)
+
+
+def _labelled_csv(header: Sequence[str], labels: Sequence[str], bodies: Iterable[str]) -> str:
+    """CSV rows of a label quoted by csv, then cells formatted by the caller.
+
+    ``bodies`` holds one ``",v1,v2,...\\n"`` line per label, not quoted; the
+    bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over the
+    header and ``[label, *cells]`` whenever no cell needs quoting.
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(header)
+    if len(header) == 1:  # csv quotes a lone empty field, so keep its own rows
+        writer.writerows((label,) for label in labels)
+        return "".join(lines)
+    writer.writerows((label, "") for label in labels)  # quoted label + ",\n"
+    for i, body in enumerate(bodies, start=1):
+        lines[i] = lines[i][:-2] + body
     return "".join(lines)
 
 

@@ -116,14 +116,6 @@ class PipelineConfig:
             raise ValueError("plot_top_k must be >= 1")
 
 
-def _lines(path: str | Path):
-    """Yield ``(line number, text)`` for each line left after ``#`` comments and blanks."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def _parse_ranges(ranges: str) -> tuple[int, ...]:
     """Turn '1-19,20-45,...' into segment sizes, checking the partition."""
     sizes = []
@@ -151,7 +143,7 @@ def parse_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     base = path.parent
     raw: dict[str, str] = {}
-    for lineno, line in _lines(path):
+    for lineno, line in corpus._lines(path):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
@@ -217,7 +209,7 @@ def _remove_artifacts(directory: Path) -> None:
 
 def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> dict[str, int]:
     assignment = {}
-    for lineno, line in _lines(path):
+    for lineno, line in corpus._lines(path):
         label, _, segment = line.partition(",")
         try:
             assignment[label.strip()] = int(segment)

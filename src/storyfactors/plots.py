@@ -91,9 +91,7 @@ def _select_points(
     selection: tuple,
 ) -> list[str]:
     """Resolve a selection rule to a list of point labels (model order)."""
-    labels = model.row_labels if side == "row" else model.col_labels
-    coords = model.row_coords if side == "row" else model.col_coords
-    contrib = model.row_contrib if side == "row" else model.col_contrib
+    labels, coords, contrib = model.side(side)
     if not isinstance(selection, tuple) or len(selection) != 2:
         raise ValueError("selection must be ('top', k), ('origin', fraction) or ('labels', seq)")
     kind, arg = selection
@@ -162,8 +160,7 @@ def render_factor_plane(
     the row points are additionally joined, in row order, by arrows —
     for tables whose rows are chronological segments.
     """
-    if side not in ("row", "col"):
-        raise ValueError(f"side must be 'row' or 'col', got {side!r}")
+    labels, coords, _ = model.side(side)
     for axis in (axis_x, axis_y):
         if not 1 <= axis <= model.n_axes:
             raise ValueError(f"axis {axis} outside fitted range 1..{model.n_axes}")
@@ -171,8 +168,6 @@ def render_factor_plane(
         raise ValueError("axis_x and axis_y must differ")
 
     chosen = _select_points(model, axis_x, axis_y, side, selection)
-    labels = model.row_labels if side == "row" else model.col_labels
-    coords = model.row_coords if side == "row" else model.col_coords
     index = {lab: i for i, lab in enumerate(labels)}
     pts = np.array([[coords[index[lab], axis_x - 1], coords[index[lab], axis_y - 1]]
                     for lab in chosen])

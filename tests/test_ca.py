@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from storyfactors import ca
+from storyfactors import ca, plots
 from storyfactors.corpus import ContingencyTable
 
 from conftest import random_table
@@ -285,6 +285,23 @@ def test_coordinate_and_contribution_csv_layout():
     assert contrib_lines[0] == expected_header
     total = sum(float(line.split(",")[1]) for line in contrib_lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda model, side: ca.coordinates_csv(model, side), id="coordinates_csv"),
+    pytest.param(lambda model, side: ca.contributions_csv(model, side), id="contributions_csv"),
+    pytest.param(lambda model, side: ca.top_contributors(model, [1], 2, side=side),
+                 id="top_contributors"),
+    pytest.param(lambda model, side: ca.project_supplementary(model, [1.0, 2.0, 3.0], side=side),
+                 id="project_supplementary"),
+    pytest.param(lambda model, side: plots.render_factor_plane(model, side=side),
+                 id="render_factor_plane"),
+])
+def test_unknown_side_is_rejected(call):
+    # "rows" is neither side; it must not fall through to the column cloud.
+    model = ca.fit_ca(_table([[4, 1, 2], [2, 3, 1], [1, 1, 5]]))
+    with pytest.raises(ValueError, match="side"):
+        call(model, "rows")
 
 
 def _per_cell_matrix_csv(labels, matrix, n_axes):

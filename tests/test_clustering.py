@@ -1,5 +1,7 @@
 """Hierarchical clustering: oracles, brute-force cross-checks, cuts."""
 
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -617,3 +619,11 @@ def test_partition_csv_layout():
     assert clustering.partition_to_csv(partition) == (
         "label,cluster\ns1,1\ns2,1\ns3,2\n"
     )
+
+
+def test_partition_csv_quotes_labels():
+    labels = ["a,b", 'say "hi"', "x\ny", ""]
+    partition = Partition(2, {label: 1 + i // 2 for i, label in enumerate(labels)})
+    rows = list(csv.reader(io.StringIO(clustering.partition_to_csv(partition))))
+    assert rows[0] == ["label", "cluster"]
+    assert [(label, int(cid)) for label, cid in rows[1:]] == list(partition.assignment.items())
