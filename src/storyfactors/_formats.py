@@ -1,0 +1,55 @@
+"""The file formats every layer shares: CSV artifacts and ``#``-comment line files."""
+
+from __future__ import annotations
+
+import csv
+import io
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Iterable, Sequence
+
+
+def lines(path: str | Path):
+    """Yield ``(line number, text)`` for each line left after ``#`` comments and blanks."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _csv_rows(header: Sequence, rows: Iterable[Sequence]) -> list[str]:
+    out: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=out.append), lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out  # one string per row, header first
+
+
+def write_csv(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The header and rows with csv quoting and ``\\n`` line ends."""
+    return "".join(_csv_rows(header, rows))
+
+
+def read_csv(text: str):
+    """Header row (or ``None``) and ``(line number, row)`` for each non-blank row.
+
+    Lines split as in a file opened with ``newline=""``, so quoted line
+    breaks survive; a row's number is that of its last line.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return next(reader, None), ((reader.line_num, row) for row in reader if row)
+
+
+def labelled_csv(header: Sequence[str], labels: Sequence[str], bodies: Iterable[str]) -> str:
+    """CSV rows of a label quoted by csv, then cells formatted by the caller.
+
+    ``bodies`` holds one ``",v1,v2,...\\n"`` line per label, not quoted; the
+    bytes are those of :func:`write_csv` over the header and
+    ``[label, *cells]`` whenever no cell needs quoting.
+    """
+    if len(header) == 1:  # csv quotes a lone empty field, so keep its own rows
+        return write_csv(header, ((label,) for label in labels))
+    out = _csv_rows(header, ((label, "") for label in labels))  # quoted label + ",\n"
+    for i, body in enumerate(bodies, start=1):
+        out[i] = out[i][:-2] + body
+    return "".join(out)

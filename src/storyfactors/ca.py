@@ -15,14 +15,13 @@ genuine sigma = 1 axis (perfectly separated block tables) is kept.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ContingencyTable, _labelled_csv
+from ._formats import labelled_csv, write_csv
+from .corpus import ContingencyTable
 
 # Relative trim per axis plus an absolute floor: singular values are at
 # most 1 in CA, so anything below 1e-13 is floating-point residue (e.g.
@@ -198,11 +197,11 @@ def project_supplementary(
     and a profile proportional to the margin lands at the origin.
     """
     profile = np.asarray(profile, dtype=float)
-    _, opposite, _ = model.side({"row": "col", "col": "row"}.get(side, side))
+    other = {"row": "col", "col": "row"}.get(side, side)
+    _, opposite, _ = model.side(other)
     if profile.shape != (opposite.shape[0],):
-        raise ValueError(
-            f"profile length {profile.shape} does not match {opposite.shape[0]} {side}-side entries"
-        )
+        raise ValueError(f"profile length {profile.shape} does not match "
+                         f"{opposite.shape[0]} {other}-side entries")
     total = profile.sum()
     if total <= 0:
         raise ValueError("profile must have positive sum")
@@ -216,21 +215,12 @@ def _fmt(value: float) -> str:
 def inertia_table_csv(model: CAModel) -> str:
     """One line per axis: axis, sigma, sigma^2, percent, cumulative percent."""
     cumulative = cumulative_inertia(model)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["axis", "sigma", "sigma_sq", "percent", "cumulative"])
-    for k in range(model.n_axes):
-        sq = model.singular_values[k] ** 2
-        writer.writerow(
-            [
-                k + 1,
-                _fmt(model.singular_values[k]),
-                _fmt(sq),
-                _fmt(100.0 * sq / model.total_inertia),
-                _fmt(cumulative[k]),
-            ]
-        )
-    return buffer.getvalue()
+    rows = []
+    for k, sigma in enumerate(model.singular_values):
+        sq = sigma**2
+        rows.append([k + 1, _fmt(sigma), _fmt(sq), _fmt(100.0 * sq / model.total_inertia),
+                     _fmt(cumulative[k])])
+    return write_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"], rows)
 
 
 def coordinates_csv(model: CAModel, side: str = "row") -> str:
@@ -248,5 +238,5 @@ def contributions_csv(model: CAModel, side: str = "row") -> str:
 def _matrix_csv(labels: tuple[str, ...], matrix: np.ndarray, n_axes: int) -> str:
     """Quote labels with csv; format each row of numbers with one template."""
     template = ",%.12g" * n_axes + "\n"  # bytes of format(v, ".12g"), never quoted
-    return _labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
-                         (template % tuple(row.tolist()) for row in matrix))
+    return labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
+                        (template % tuple(row.tolist()) for row in matrix))

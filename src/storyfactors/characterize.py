@@ -13,13 +13,12 @@ the very small p-values (~1e-13) that concentrated words produce.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._formats import write_csv
 from .clustering import Partition
 from .corpus import ContingencyTable
 
@@ -120,18 +119,7 @@ def characterize_clusters(
 
 def report_to_csv(report: VTestReport) -> str:
     """CSV ``cluster,word,v,p,cluster_mean,global_mean`` with p as 1.234567e-08."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["cluster", "word", "v", "p", "cluster_mean", "global_mean"])
-    for e in report.entries:
-        writer.writerow(
-            [
-                e.cluster_id,
-                e.word,
-                format(e.v, ".12g"),
-                format(e.p, ".6e"),
-                format(e.cluster_mean, ".12g"),
-                format(e.global_mean, ".12g"),
-            ]
-        )
-    return buffer.getvalue()
+    return write_csv(["cluster", "word", "v", "p", "cluster_mean", "global_mean"], (
+        [e.cluster_id, e.word, format(e.v, ".12g"), format(e.p, ".6e"),
+         format(e.cluster_mean, ".12g"), format(e.global_mean, ".12g")]
+        for e in report.entries))

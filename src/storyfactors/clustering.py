@@ -15,14 +15,20 @@ chronological order, merge t creates node n+t.
 
 from __future__ import annotations
 
-import csv
 import io
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._formats import write_csv
+
 _PAIR_BLOCK = 2**20  # float64 pair differences computed at once (8 MB)
+# Leaf labels in dendrogram text: the escape character and every line
+# boundary of str.splitlines become \uXXXX, so each record stays on one line.
+_LABEL_ESCAPES = {ord(c): f"\\u{ord(c):04x}" for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_LABEL_ESCAPED = re.compile(r"\\u([0-9a-f]{4})")
 
 
 @dataclass(frozen=True)
@@ -299,12 +305,12 @@ def cut_max_gap(dendrogram: Dendrogram) -> Partition:
 
 
 def dendrogram_to_text(dendrogram: Dendrogram) -> str:
-    """Replayable text form: header, leaf list, then one merge per line."""
+    """Replayable text form: header, leaf list (labels escaped), then one merge per line."""
     out = io.StringIO()
     out.write(f"criterion {dendrogram.criterion}\n")
     out.write(f"leaves {dendrogram.n_leaves}\n")
     for i, label in enumerate(dendrogram.labels):
-        out.write(f"leaf {i} {label}\n")
+        out.write(f"leaf {i} {label.translate(_LABEL_ESCAPES)}\n")
     for left, right, height, size in dendrogram.merges:
         out.write(f"merge {left} {right} {height!r} {size}\n")
     return out.getvalue()
@@ -324,7 +330,7 @@ def dendrogram_from_text(text: str) -> Dendrogram:
             n = int(rest)
         elif kind == "leaf":
             _idx, _, label = rest.partition(" ")
-            labels.append(label)
+            labels.append(_LABEL_ESCAPED.sub(lambda m: chr(int(m[1], 16)), label))
         elif kind == "merge":
             left, right, height, size = rest.split()
             merges.append((int(left), int(right), float(height), int(size)))
@@ -335,8 +341,4 @@ def dendrogram_from_text(text: str) -> Dendrogram:
 
 def partition_to_csv(partition: Partition) -> str:
     """CSV ``label,cluster`` in assignment (chronological) order, labels quoted by csv."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["label", "cluster"])
-    writer.writerows(partition.assignment.items())
-    return buffer.getvalue()
+    return write_csv(["label", "cluster"], partition.assignment.items())

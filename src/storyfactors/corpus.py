@@ -9,20 +9,18 @@ idempotent: applying the same filter twice changes nothing.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
+from ._formats import labelled_csv, lines, read_csv
 from .textprep import TokenList
+
+logger = logging.getLogger(__name__)
 
 _CSV_BLOCK_BYTES = 1 << 20  # output bytes table_to_csv formats per row block
 
@@ -210,21 +208,13 @@ def aggregate(table: ContingencyTable, segmentation: Segmentation) -> Contingenc
     return ContingencyTable(tuple(str(sid) for sid in order), table.col_labels, counts)
 
 
-def _lines(path: str | Path):
-    """Yield ``(line number, text)`` for each line left after ``#`` comments and blanks."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def load_word_list(path: str | Path) -> frozenset[str]:
     """Read a one-entry-per-line file; ``#`` starts a comment.
 
     Entries are kept exactly as written (case included), which serves
     stopword lists, lexicons and abbreviation lists alike.
     """
-    return frozenset(line for _, line in _lines(path))
+    return frozenset(line for _, line in lines(path))
 
 
 def table_to_csv(table: ContingencyTable) -> str:
@@ -241,26 +231,7 @@ def table_to_csv(table: ContingencyTable) -> str:
     rows_per_block = max(1, _CSV_BLOCK_BYTES // (m * (width + 1) + 1))
     bodies = (body for start in range(0, n, rows_per_block) for body in
               _count_rows(counts[start:start + rows_per_block], width).splitlines(True))
-    return _labelled_csv(["doc_id", *table.col_labels], table.row_labels, bodies)
-
-
-def _labelled_csv(header: Sequence[str], labels: Sequence[str], bodies: Iterable[str]) -> str:
-    """CSV rows of a label quoted by csv, then cells formatted by the caller.
-
-    ``bodies`` holds one ``",v1,v2,...\\n"`` line per label, not quoted; the
-    bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over the
-    header and ``[label, *cells]`` whenever no cell needs quoting.
-    """
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(header)
-    if len(header) == 1:  # csv quotes a lone empty field, so keep its own rows
-        writer.writerows((label,) for label in labels)
-        return "".join(lines)
-    writer.writerows((label, "") for label in labels)  # quoted label + ",\n"
-    for i, body in enumerate(bodies, start=1):
-        lines[i] = lines[i][:-2] + body
-    return "".join(lines)
+    return labelled_csv(["doc_id", *table.col_labels], table.row_labels, bodies)
 
 
 def _count_rows(block: np.ndarray, width: int) -> str:
@@ -284,17 +255,11 @@ def _count_rows(block: np.ndarray, width: int) -> str:
 
 def table_from_csv(data: str) -> ContingencyTable:
     """Parse :func:`table_to_csv` output; exact round-trip."""
-    reader = csv.reader(io.StringIO(data))
-    header = next(reader, None)
+    header, rows = read_csv(data)
     if not header or header[0] != "doc_id":
         raise ValueError("table CSV must start with a doc_id header column")
     col_labels = tuple(header[1:])
-    row_labels: list[str] = []
-    rows: list[list[int]] = []
-    for row in reader:
-        if not row:
-            continue
-        row_labels.append(row[0])
-        rows.append([int(cell) for cell in row[1:]])
-    counts = np.array(rows, dtype=np.int64).reshape(len(row_labels), len(col_labels))
-    return ContingencyTable(tuple(row_labels), col_labels, counts)
+    body = [row for _, row in rows]
+    counts = np.array([[int(cell) for cell in row[1:]] for row in body], dtype=np.int64)
+    return ContingencyTable(tuple(row[0] for row in body), col_labels,
+                            counts.reshape(len(body), len(col_labels)))

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ca, characterize, clustering, corpus, plots, textprep
+from ._formats import lines
 
 _UNITS = ("sentence", "paragraph")
 _CRITERIA = ("ward", "constrained")
 _PATH_KEYS = ("input_text", "abbreviations", "stopwords", "lexicon",
               "speakers", "segment_file")
-_INT_KEYS = ("min_total_count", "min_doc_count", "min_word_length", "axes",
-             "plot_top_k")
 
 # Result key -> artifact file name; every name a run can write.
 _ARTIFACTS = {
@@ -132,47 +131,52 @@ def _parse_ranges(ranges: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+# Config key -> conversion of its text value ("segment_ranges" sets segment_sizes).
+_CONVERSIONS = {
+    **dict.fromkeys(("min_total_count", "min_doc_count", "min_word_length", "axes",
+                     "plot_top_k"), int),
+    **dict.fromkeys(("unit", "segment_by", "cluster", "cut"), str),
+    "segment_sizes": lambda value: tuple(int(v) for v in value.split(",")),
+    "segment_ranges": _parse_ranges,
+    "vtest_alpha": float,
+    "plot_axes": lambda value: tuple(int(v) for v in value.partition(",")[::2]),
+    "out_dir": Path,
+}
+
+
 def parse_config(path: str | Path) -> PipelineConfig:
     """Read a flat ``key = value`` config file.
 
     ``#`` starts a comment; blank lines are skipped; unknown keys are an
-    error.  Input-file paths are resolved relative to the config file's
+    error, and a value that does not convert is reported with its line.
+    Input-file paths are resolved relative to the config file's
     directory; ``out_dir`` is kept as written (relative to the working
     directory, and overridable from the CLI).
     """
     path = Path(path)
     base = path.parent
-    raw: dict[str, str] = {}
-    for lineno, line in corpus._lines(path):
+    raw: dict[str, tuple[int, str]] = {}
+    for lineno, line in lines(path):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         if key in raw:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = lineno, value
 
     kwargs: dict = {}
-    for key, value in raw.items():
+    for key, (lineno, value) in raw.items():
         if key in _PATH_KEYS:
             kwargs[key] = (base / value).resolve()
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key == "segment_sizes":
-            kwargs[key] = tuple(int(v) for v in value.split(","))
-        elif key == "segment_ranges":
-            kwargs["segment_sizes"] = _parse_ranges(value)
-        elif key == "vtest_alpha":
-            kwargs[key] = float(value)
-        elif key == "plot_axes":
-            ax, _, ay = value.partition(",")
-            kwargs[key] = (int(ax), int(ay))
-        elif key in ("unit", "segment_by", "cluster", "cut"):
-            kwargs[key] = value
-        elif key == "out_dir":
-            kwargs[key] = Path(value)
-        else:
+            continue
+        if key not in _CONVERSIONS:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            value = _CONVERSIONS[key](value)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {err}") from None
+        kwargs["segment_sizes" if key == "segment_ranges" else key] = value
     if "input_text" not in kwargs:
         raise ValueError(f"{path}: missing required key 'input_text'")
     config = PipelineConfig(**kwargs)
@@ -209,7 +213,7 @@ def _remove_artifacts(directory: Path) -> None:
 
 def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> dict[str, int]:
     assignment = {}
-    for lineno, line in corpus._lines(path):
+    for lineno, line in lines(path):
         label, _, segment = line.partition(",")
         try:
             assignment[label.strip()] = int(segment)

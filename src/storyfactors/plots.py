@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ca import CAModel
+from .ca import CAModel, top_contributors
 from .clustering import Dendrogram
 
 # Point/label styling shared by both renderers.
@@ -91,7 +91,7 @@ def _select_points(
     selection: tuple,
 ) -> list[str]:
     """Resolve a selection rule to a list of point labels (model order)."""
-    labels, coords, contrib = model.side(side)
+    labels, coords, _ = model.side(side)
     if not isinstance(selection, tuple) or len(selection) != 2:
         raise ValueError("selection must be ('top', k), ('origin', fraction) or ('labels', seq)")
     kind, arg = selection
@@ -99,10 +99,8 @@ def _select_points(
         k = int(arg)
         if k <= 0:
             raise ValueError("empty selection: top-k requires k >= 1")
-        score = contrib[:, axis_x - 1] + contrib[:, axis_y - 1]
-        order = sorted(range(len(labels)), key=lambda i: (-score[i], labels[i]))
-        chosen = set(order[:k])
-        return [lab for i, lab in enumerate(labels) if i in chosen]
+        chosen = {lab for lab, _ in top_contributors(model, (axis_x, axis_y), k, side)}
+        return [lab for lab in labels if lab in chosen]
     if kind == "origin":
         fraction = float(arg)
         if not 0.0 < fraction <= 1.0:
@@ -117,11 +115,10 @@ def _select_points(
         wanted = list(arg)
         if not wanted:
             raise ValueError("empty selection: no labels given")
-        known = set(labels)
-        missing = [lab for lab in wanted if lab not in known]
+        order = {lab: i for i, lab in enumerate(labels)}
+        missing = [lab for lab in wanted if lab not in order]
         if missing:
             raise ValueError(f"unknown {side} labels: {', '.join(missing)}")
-        order = {lab: i for i, lab in enumerate(labels)}
         return sorted(wanted, key=order.__getitem__)
     raise ValueError(f"unknown selection kind {kind!r}")
 

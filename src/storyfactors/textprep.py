@@ -9,13 +9,13 @@ sentence they close.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from ._formats import read_csv, write_csv
 
 # A run of terminators, then any closing punctuation that belongs to the
 # sentence it ends: all of the run, and only when the run is followed by
@@ -106,23 +106,20 @@ def segment_text(raw_text: str, abbreviations: frozenset[str] = frozenset()) -> 
 
 def load_speaker_map(path: str | Path) -> dict[int, str]:
     """Read a ``paragraph_id,label`` CSV into a dict."""
-    mapping: dict[int, str] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["paragraph_id", "label"]:
-            raise ValueError(f"speaker map header must be paragraph_id,label, got {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                paragraph_id, label = int(row[0]), row[1].strip()
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{reader.line_num}: expected 'paragraph_id,label', "
-                                 f"got {','.join(row)!r}") from None
-            if paragraph_id in mapping:
-                raise ValueError(f"duplicate paragraph id {paragraph_id} in speaker map")
-            mapping[paragraph_id] = label
+        header, rows = read_csv(handle.read())
+    if header != ["paragraph_id", "label"]:
+        raise ValueError(f"speaker map header must be paragraph_id,label, got {header!r}")
+    mapping: dict[int, str] = {}
+    for lineno, row in rows:
+        try:
+            paragraph_id, label = int(row[0]), row[1].strip()
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{lineno}: expected 'paragraph_id,label', "
+                             f"got {','.join(row)!r}") from None
+        if paragraph_id in mapping:
+            raise ValueError(f"duplicate paragraph id {paragraph_id} in speaker map")
+        mapping[paragraph_id] = label
     return mapping
 
 
@@ -186,28 +183,14 @@ def tokenize(record: SentenceRecord) -> TokenList:
 
 def sentences_to_csv(records: Iterable[SentenceRecord]) -> str:
     """Serialize sentence records to CSV with RFC-4180 quoting."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["sentence_id", "paragraph_id", "speaker", "text"])
-    for record in records:
-        writer.writerow(
-            [record.sentence_id, record.paragraph_id, record.speaker or "", record.text]
-        )
-    return buffer.getvalue()
+    return write_csv(["sentence_id", "paragraph_id", "speaker", "text"],
+                     ([r.sentence_id, r.paragraph_id, r.speaker or "", r.text] for r in records))
 
 
 def sentences_from_csv(data: str) -> list[SentenceRecord]:
     """Parse the output of :func:`sentences_to_csv`; exact round-trip."""
-    reader = csv.reader(io.StringIO(data))
-    header = next(reader, None)
+    header, rows = read_csv(data)
     if header != ["sentence_id", "paragraph_id", "speaker", "text"]:
         raise ValueError(f"unexpected sentence CSV header: {header!r}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        sentence_id, paragraph_id, speaker, text = row
-        records.append(
-            SentenceRecord(int(sentence_id), int(paragraph_id), speaker or None, text)
-        )
-    return records
+    return [SentenceRecord(int(sentence_id), int(paragraph_id), speaker or None, text)
+            for _, (sentence_id, paragraph_id, speaker, text) in rows]

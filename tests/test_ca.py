@@ -206,6 +206,14 @@ def test_supplementary_column_side_and_validation():
         ca.project_supplementary(model, [0.0, 0.0, 0.0], side="row")
 
 
+
+def test_supplementary_length_error_names_the_projecting_side():
+    model = ca.fit_ca(_table([[4, 1, 2], [2, 3, 1]]))  # 2 rows x 3 columns
+    with pytest.raises(ValueError, match=r"length .* does not match 3 col-side entries"):
+        ca.project_supplementary(model, [1.0, 2.0], side="row")
+    with pytest.raises(ValueError, match=r"length .* does not match 2 row-side entries"):
+        ca.project_supplementary(model, [1.0, 2.0, 3.0], side="col")
+
 def test_cumulative_inertia_ends_at_exactly_100():
     for _, model in _random_models(10, seed=31):
         cumulative = ca.cumulative_inertia(model)

@@ -614,6 +614,18 @@ def test_dendrogram_text_round_trip():
         clustering.dendrogram_from_text("criterion ward\nleaves 2\nleaf 0 a\nleaf 1 b\nsplit 0 1\n")
 
 
+
+def test_dendrogram_text_round_trips_labels_with_line_breaks():
+    labels = ("x\ny", "p\rq", "p\x85q", "p\u2028q", "back\\slash", "é", "",
+              "a\r\nb\v\f\x1c\x1d\x1e\u2029", "\\u000a", "plain label")
+    coords = np.random.default_rng(5).normal(size=(len(labels), 2))
+    dendrogram = clustering.constrained_complete_link(PointCloud(labels, coords))
+    text = clustering.dendrogram_to_text(dendrogram)
+    assert len(text.splitlines()) == 2 + 2 * len(labels) - 1  # one record per line
+    assert clustering.dendrogram_from_text(text) == dendrogram
+    # Labels without a backslash or line break keep their bytes.
+    assert "leaf 5 é\n" in text and "leaf 6 \n" in text and "leaf 9 plain label\n" in text
+
 def test_partition_csv_layout():
     partition = Partition(2, {"s1": 1, "s2": 1, "s3": 2})
     assert clustering.partition_to_csv(partition) == (

@@ -96,6 +96,22 @@ def test_parse_config_validates_segment_ranges(mini):
         )
 
 
+
+@pytest.mark.parametrize("key, value", [
+    ("min_total_count", "abc"),
+    ("segment_ranges", "1-3,"),
+    ("plot_axes", "1"),
+    ("plot_axes", "1,2,3"),
+    ("segment_sizes", "3,,4"),
+    ("vtest_alpha", "x"),
+])
+def test_parse_config_names_key_and_line_of_bad_value(mini, key, value):
+    root, _ = mini
+    path = root / "bad_value.cfg"
+    path.write_text(f"input_text = story.txt\n# a comment\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad value for {key!r}: ")):
+        pipeline.parse_config(path)
+
 def test_config_validate_catches_bad_values(mini):
     _, write_config = mini
     cases = {

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from storyfactors import ca, clustering, plots
 from storyfactors.corpus import ContingencyTable
 
+from conftest import random_table
+
 
 def _model(rows=12, cols=60, seed=4):
     rng = np.random.default_rng(seed)
@@ -104,6 +106,36 @@ def test_selection_rules():
     )
     assert explicit == [model.col_labels[1], model.col_labels[4]]
 
+
+
+def _old_top_selection(model, axis_x, axis_y, side, k):
+    """The top-k rule as plots ranked it before it called ca.top_contributors."""
+    labels, _, contrib = model.side(side)
+    score = contrib[:, axis_x - 1] + contrib[:, axis_y - 1]
+    order = sorted(range(len(labels)), key=lambda i: (-score[i], labels[i]))
+    chosen = set(order[:k])
+    return [lab for i, lab in enumerate(labels) if i in chosen]
+
+
+def test_top_selection_matches_top_contributors_ranking():
+    rng = np.random.default_rng(12)
+    models = 0
+    while models < 300:
+        # Few distinct counts give tied contributions; shuffled labels make
+        # the label tie-break differ from the index order.
+        table = random_table(rng, high=int(rng.choice([2, 9])))
+        n, m = table.shape
+        words = [f"w{i}" for i in rng.permutation(n + m)]
+        model = ca.fit_ca(ContingencyTable(tuple(words[:n]), tuple(words[n:]), table.counts))
+        if model.n_axes < 2:
+            continue
+        models += 1
+        ax, ay = (int(a) for a in rng.choice(np.arange(1, model.n_axes + 1), 2, replace=False))
+        for side in ("row", "col"):
+            for k in (1, 3, 50):
+                for axes in ((ax, ay), (ay, ax)):
+                    assert (plots._select_points(model, *axes, side, ("top", k))
+                            == _old_top_selection(model, *axes, side, k))
 
 def test_selection_validation():
     model = _model(cols=8)
