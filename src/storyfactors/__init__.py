@@ -28,12 +28,14 @@ from .clustering import (
     ward_cluster,
 )
 from .corpus import (
+    CellCounts,
     ContingencyTable,
     CorpusFilter,
     Segmentation,
     aggregate,
     apply_filter,
     build_table,
+    count_cells,
     load_word_list,
 )
 from .pipeline import PipelineConfig, PipelineResult, StageError, parse_config, run_pipeline
@@ -44,6 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CAModel",
+    "CellCounts",
     "ContingencyTable",
     "CorpusFilter",
     "Dendrogram",
@@ -63,6 +66,7 @@ __all__ = [
     "characterize_clusters",
     "chi2_row_distance",
     "constrained_complete_link",
+    "count_cells",
     "cumulative_inertia",
     "cut_k",
     "cut_max_gap",

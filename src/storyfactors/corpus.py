@@ -2,9 +2,14 @@
 
 Tables are plain integer count matrices with ordered labels: rows follow
 the chronology of the text units, columns are the vocabulary in order of
-first appearance.  Filtering is a pipeline of passes (stopwords, word
-length, lexicon, frequency thresholds, empty-row removal) and is
-idempotent: applying the same filter twice changes nothing.
+first appearance.  :func:`count_cells` counts tokens into a
+:class:`CellCounts`, the table's non-zero cells only, so no rows x words
+matrix is built before filtering; :meth:`CellCounts.dense` and
+:func:`build_table` give the full :class:`ContingencyTable`.  Filtering
+is a pipeline of passes (stopwords, word length, lexicon, frequency
+thresholds, empty-row removal) run by one kernel over the cells, whether
+:func:`apply_filter` receives cells or a dense table, and is idempotent:
+applying the same filter twice changes nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +30,12 @@ logger = logging.getLogger(__name__)
 _CSV_BLOCK_BYTES = 1 << 20  # output bytes table_to_csv formats per row block
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark an array this module just built read-only, so tables take it uncopied."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Counts of column items per row document, with stable label order."""
@@ -35,12 +46,14 @@ class ContingencyTable:
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
+        if counts is self.counts and counts.flags.writeable:
+            counts = counts.copy()  # freezing the caller's own array would lock it
         if counts.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError(
                 f"counts shape {counts.shape} does not match "
                 f"{len(self.row_labels)} rows x {len(self.col_labels)} cols"
             )
-        if (counts < 0).any():
+        if counts.min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
@@ -64,7 +77,38 @@ class ContingencyTable:
         return self.counts.sum(axis=0)
 
     def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(self.col_labels, self.row_labels, self.counts.T.copy())
+        return ContingencyTable(self.col_labels, self.row_labels, _frozen(self.counts.T.copy()))
+
+
+@dataclass(frozen=True)
+class CellCounts:
+    """A count table stored as its non-zero cells.
+
+    ``cells`` holds the sorted, unique flat indices ``row * len(col_labels)
+    + col`` of the non-zero cells and ``counts`` their positive counts, so
+    the storage grows with the distinct words of each row, not with rows
+    times vocabulary.
+    """
+
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+    cells: np.ndarray  # sorted unique int64 flat indices
+    counts: np.ndarray  # int64, > 0, one per cell
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.row_labels), len(self.col_labels)
+
+    @classmethod
+    def of(cls, table: ContingencyTable) -> "CellCounts":
+        flat = table.counts.reshape(-1)
+        cells = np.flatnonzero(flat)
+        return cls(table.row_labels, table.col_labels, _frozen(cells), _frozen(flat[cells]))
+
+    def dense(self) -> ContingencyTable:
+        counts = np.zeros(self.shape, dtype=np.int64)
+        counts.reshape(-1)[self.cells] = self.counts
+        return ContingencyTable(self.row_labels, self.col_labels, _frozen(counts))
 
 
 @dataclass(frozen=True)
@@ -112,12 +156,25 @@ def build_table(
     unit: str = "sentence",
     paragraph_ids: Mapping[int, int] | None = None,
 ) -> ContingencyTable:
-    """Cross-tabulate tokens into a documents-by-words count table.
+    """Cross-tabulate tokens into a dense documents-by-words count table.
+
+    The rows, columns and counts are those of :func:`count_cells`.
+    """
+    return count_cells(token_lists, unit, paragraph_ids).dense()
+
+
+def count_cells(
+    token_lists: Iterable[TokenList],
+    unit: str = "sentence",
+    paragraph_ids: Mapping[int, int] | None = None,
+) -> CellCounts:
+    """Cross-tabulate tokens into the non-zero cells of a documents-by-words table.
 
     ``unit`` selects the row documents: ``"sentence"`` keeps one row per
     sentence (including empty ones), ``"paragraph"`` sums sentences into
     their paragraphs via ``paragraph_ids`` (sentence id -> paragraph id).
-    Columns are the distinct tokens in order of first appearance.
+    Columns are the distinct tokens in order of first appearance.  Memory
+    grows with the number of tokens, never with rows times vocabulary.
     """
     token_lists = list(token_lists)
     if unit not in ("sentence", "paragraph"):
@@ -145,42 +202,56 @@ def build_table(
                     for tl in token_lists]
         row_labels = tuple(str(pid) for pid in row_of)
 
-    n, V = len(row_labels), len(col_index)
+    V = len(col_index)
     rows = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
-    cells = rows * V + np.array(cols, dtype=np.int64)
-    counts = np.bincount(cells, minlength=n * V).reshape(n, V)
-    return ContingencyTable(row_labels, tuple(col_index), counts)
+    cells, counts = np.unique(rows * V + np.array(cols, dtype=np.int64), return_counts=True)
+    return CellCounts(row_labels, tuple(col_index), _frozen(cells),
+                      _frozen(counts.astype(np.int64, copy=False)))
 
 
-def apply_filter(table: ContingencyTable, filt: CorpusFilter) -> ContingencyTable:
+def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> ContingencyTable:
     """Run the filter passes in their fixed order and drop emptied rows.
 
     Pass order: stopword removal, minimum word length, lexicon allow-list,
     then the frequency thresholds evaluated against the table as it stands
     at that point (document frequencies are not recomputed after columns
-    drop), and finally removal of all-zero rows.
+    drop), and finally removal of all-zero rows.  A dense table is first
+    reduced to its :class:`CellCounts`, so both inputs take one path, and
+    only the kept rows x kept columns are ever made dense.
     """
-    counts = table.counts
-    # Totals and document frequencies are per column, so evaluating the
-    # thresholds on the whole table and ANDing them with the word passes
-    # keeps exactly the columns the passes would keep one after another.
-    keep = (counts.sum(axis=0) >= filt.min_total_count) & (
-        np.count_nonzero(counts, axis=0) >= filt.min_doc_count)
+    if isinstance(table, ContingencyTable):
+        table = CellCounts.of(table)
+    n, V = table.shape
+    rows, cols = np.divmod(table.cells, V)
+    totals = np.zeros(V, dtype=np.int64)
+    np.add.at(totals, cols, table.counts)
+    # Totals and document frequencies (a column's non-zero cells) are per
+    # column, so evaluating the thresholds on the whole table and ANDing
+    # them with the word passes keeps exactly the columns the passes would
+    # keep one after another.
+    keep = (totals >= filt.min_total_count) & (
+        np.bincount(cols, minlength=V) >= filt.min_doc_count)
     keep &= np.fromiter(
         ((filt.min_word_length <= 1 or len(w) >= filt.min_word_length)
          and w not in filt.stopwords
          and (filt.lexicon is None or w in filt.lexicon) for w in table.col_labels),
-        dtype=bool, count=len(table.col_labels))
+        dtype=bool, count=V)
     if not keep.any():
         raise ValueError("empty vocabulary: filter removed every column")
 
-    row_ok = counts @ keep > 0  # row totals over the kept columns
-    dropped = [label for label, ok in zip(table.row_labels, row_ok) if not ok]
+    kept = keep[cols]
+    rows, cols = rows[kept], cols[kept]
+    row_ok = np.zeros(n, dtype=bool)
+    row_ok[rows] = True
+    dropped = list(compress(table.row_labels, ~row_ok))
     if dropped:
         logger.info("filter emptied %d rows: %s", len(dropped), ", ".join(dropped))
+    new_row, new_col = np.cumsum(row_ok) - 1, np.cumsum(keep) - 1  # old -> kept index
+    m = int(new_col[-1]) + 1
+    counts = np.zeros((n - len(dropped), m), dtype=np.int64)
+    counts.reshape(-1)[new_row[rows] * m + new_col[cols]] = table.counts[kept]
     return ContingencyTable(tuple(compress(table.row_labels, row_ok)),
-                            tuple(compress(table.col_labels, keep)),
-                            counts[np.ix_(row_ok, keep)])
+                            tuple(compress(table.col_labels, keep)), _frozen(counts))
 
 
 def aggregate(table: ContingencyTable, segmentation: Segmentation) -> ContingencyTable:
@@ -205,7 +276,7 @@ def aggregate(table: ContingencyTable, segmentation: Segmentation) -> Contingenc
     counts = np.zeros((len(order), len(table.col_labels)), dtype=np.int64)
     for row, sid in enumerate(segment_ids):
         counts[sid - 1] += table.counts[row]
-    return ContingencyTable(tuple(str(sid) for sid in order), table.col_labels, counts)
+    return ContingencyTable(tuple(str(sid) for sid in order), table.col_labels, _frozen(counts))
 
 
 def load_word_list(path: str | Path) -> frozenset[str]:
@@ -262,4 +333,4 @@ def table_from_csv(data: str) -> ContingencyTable:
     body = [row for _, row in rows]
     counts = np.array([[int(cell) for cell in row[1:]] for row in body], dtype=np.int64)
     return ContingencyTable(tuple(row[0] for row in body), col_labels,
-                            counts.reshape(len(body), len(col_labels)))
+                            _frozen(counts.reshape(len(body), len(col_labels))))

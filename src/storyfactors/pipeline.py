@@ -172,11 +172,14 @@ def parse_config(path: str | Path) -> PipelineConfig:
             continue
         if key not in _CONVERSIONS:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        name = "segment_sizes" if key == "segment_ranges" else key
+        if name in kwargs:  # only segment_sizes can be reached by two keys
+            raise ValueError(f"{path}:{lineno}: give segment_sizes or segment_ranges, not both")
         try:
             value = _CONVERSIONS[key](value)
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {err}") from None
-        kwargs["segment_sizes" if key == "segment_ranges" else key] = value
+        kwargs[name] = value
     if "input_text" not in kwargs:
         raise ValueError(f"{path}: missing required key 'input_text'")
     config = PipelineConfig(**kwargs)
@@ -193,6 +196,7 @@ class PipelineResult:
     summary: list[str] = field(default_factory=list)
     sentences: list[textprep.SentenceRecord] | None = None
     tokens: list[textprep.TokenList] | None = None
+    cells: corpus.CellCounts | None = None  # the built, unfiltered table
     table: corpus.ContingencyTable | None = None  # the analysed (final) table
     model: ca.CAModel | None = None
     dendrogram: clustering.Dendrogram | None = None
@@ -276,9 +280,9 @@ def _tokenize(config: PipelineConfig, result: PipelineResult) -> str:
 
 def _build(config: PipelineConfig, result: PipelineResult) -> str:
     paragraph_ids = {r.sentence_id: r.paragraph_id for r in result.sentences}
-    table = result.table = corpus.build_table(
+    cells = result.cells = corpus.count_cells(
         result.tokens, unit=config.unit, paragraph_ids=paragraph_ids)
-    return f"build: {table.shape[0]} {config.unit} rows x {table.shape[1]} words"
+    return f"build: {cells.shape[0]} {config.unit} rows x {cells.shape[1]} words"
 
 
 def _filter(config: PipelineConfig, result: PipelineResult) -> str:
@@ -292,8 +296,8 @@ def _filter(config: PipelineConfig, result: PipelineResult) -> str:
         stopwords=stopwords,
         lexicon=lexicon,
     )
-    built_rows = result.table.shape[0]
-    table = result.table = corpus.apply_filter(result.table, filt)
+    built_rows = result.cells.shape[0]
+    table = result.table = corpus.apply_filter(result.cells, filt)
     _write(result, "table", corpus.table_to_csv(table))
     return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
             f"{table.shape[0]} non-empty rows, {built_rows - table.shape[0]} emptied")

@@ -9,9 +9,6 @@ surface.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from .ca import CAModel, top_contributors

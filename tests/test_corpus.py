@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -73,6 +74,18 @@ def test_table_counts_are_read_only():
     table = corpus.ContingencyTable(("r",), ("a",), np.array([[1]]))
     with pytest.raises(ValueError):
         table.counts[0, 0] = 5
+
+
+def test_table_leaves_the_callers_array_writable():
+    counts = np.array([[1, 2]], dtype=np.int64)
+    table = corpus.ContingencyTable(("r",), ("a", "b"), counts)
+    assert counts.flags.writeable
+    counts[0, 0] = 7
+    assert table.counts.tolist() == [[1, 2]]
+    # A read-only int64 array is taken as it is, uncopied.
+    frozen = np.array([[3, 4]], dtype=np.int64)
+    frozen.setflags(write=False)
+    assert corpus.ContingencyTable(("r",), ("a", "b"), frozen).counts is frozen
 
 
 def test_transpose_is_involutive():
@@ -360,6 +373,49 @@ def test_apply_filter_matches_chained_passes(table, filt):
     _assert_same_table(corpus.apply_filter(table, filt), want)
 
 
+@given(token_corpora(), st.sampled_from(["sentence", "paragraph"]), filter_passes())
+@settings(max_examples=300, deadline=None)
+def test_filtered_cells_match_dense_build_then_filter(corpus_and_ids, unit, filt):
+    token_lists, paragraphs = corpus_and_ids
+    if not any(tl.tokens for tl in token_lists):
+        with pytest.raises(ValueError, match="empty corpus"):
+            corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs)
+        return
+    cells = corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs)
+    try:
+        want = _reference_apply_filter(_reference_build_table(token_lists, unit, paragraphs), filt)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            corpus.apply_filter(cells, filt)
+        return
+    _assert_same_table(corpus.apply_filter(cells, filt), want)
+
+
+def test_count_and_filter_never_build_the_unfiltered_table():
+    # 1,500 sentences over a 1,500-word vocabulary, of which a lexicon keeps
+    # the five words every sentence starts with: the unfiltered table is
+    # 18 MB, the kept one 60 kB.
+    n = V = 1500
+    token_lists = [TokenList(i, (f"w{i % 5}", *(f"w{(7 * i + j) % V}" for j in range(9))))
+                   for i in range(n)]
+    filt = corpus.CorpusFilter(lexicon=frozenset(f"w{k}" for k in range(5)))
+    bound = n * V * 8 // 4
+
+    def traced_peak(count_and_filter):
+        tracemalloc.start()
+        try:
+            table = count_and_filter()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (n, 5)
+        return peak
+
+    assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists), filt)) < bound
+    # The dense route exceeds the bound, so the bound can tell them apart.
+    assert traced_peak(lambda: corpus.apply_filter(corpus.build_table(token_lists), filt)) > bound
+
+
 def test_apply_filter_keeps_an_empty_label_at_minimum_length_one():
     table = corpus.ContingencyTable(("r",), ("", "a"), np.array([[1, 1]]))
     assert corpus.apply_filter(table, corpus.CorpusFilter()).col_labels == ("", "a")
@@ -379,6 +435,15 @@ def labelled_tables(draw):
     counts = np.array(cells, dtype=np.int64).reshape(len(rows), len(cols))
     counts[:: draw(st.integers(1, 3))] *= draw(st.integers(0, 1))  # some all-zero rows
     return corpus.ContingencyTable(tuple(rows), tuple(cols), counts)
+
+
+@given(labelled_tables())
+@settings(max_examples=200, deadline=None)
+def test_cell_counts_round_trip_a_dense_table(table):
+    cells = corpus.CellCounts.of(table)
+    assert (np.diff(cells.cells) > 0).all() and (cells.counts > 0).all()
+    assert cells.shape == table.shape
+    _assert_same_table(cells.dense(), table)
 
 
 @given(labelled_tables(), st.integers(1, 200))

@@ -96,6 +96,16 @@ def test_parse_config_validates_segment_ranges(mini):
         )
 
 
+def test_parse_config_rejects_segment_sizes_with_segment_ranges(mini):
+    root, _ = mini
+    for first, second in (("segment_sizes = 1,1", "segment_ranges = 1-5"),
+                          ("segment_ranges = 1-5", "segment_sizes = 1,1")):
+        path = root / "both.cfg"
+        path.write_text(f"input_text = story.txt\n{first}\n# a comment\n{second}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: give segment_sizes or segment_ranges, not both")):
+            pipeline.parse_config(path)
+
 
 @pytest.mark.parametrize("key, value", [
     ("min_total_count", "abc"),
