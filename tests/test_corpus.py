@@ -199,6 +199,33 @@ def test_aggregate_preserves_totals(table, k):
     assert np.array_equal(out.column_totals(), table.column_totals())
 
 
+def _aggregate_row_by_row(table, segmentation):
+    """The per-row accumulation ``corpus.aggregate`` used before reduceat."""
+    counts = np.zeros((len(segmentation.segments()), len(table.col_labels)), dtype=np.int64)
+    for row, label in enumerate(table.row_labels):
+        counts[segmentation.assignment[label] - 1] += table.counts[row]
+    return counts
+
+
+@given(tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_aggregate_equals_row_by_row_sums(table, data):
+    # Each row's id steps 0, 1 or 2 above the previous one; a skipped id,
+    # and up to two ids after the last row, belong to labels outside the
+    # table, which gives segments with no row.
+    steps = data.draw(st.lists(st.integers(0, 2), min_size=len(table.row_labels),
+                               max_size=len(table.row_labels)))
+    ids = np.cumsum(steps) + 1
+    top = int(ids[-1]) + data.draw(st.integers(0, 2))
+    assignment = dict(zip(table.row_labels, ids.tolist()))
+    assignment.update((f"gap{sid}", sid) for sid in sorted(set(range(1, top + 1)) - set(ids.tolist())))
+    seg = corpus.Segmentation("s", assignment)
+    out = corpus.aggregate(table, seg)
+    assert out.row_labels == tuple(str(sid) for sid in range(1, top + 1))
+    assert out.counts.dtype == np.int64
+    assert np.array_equal(out.counts, _aggregate_row_by_row(table, seg))
+
+
 def test_aggregate_rejects_non_contiguous_segments():
     table = _demo_table()
     seg = corpus.Segmentation("bad", {"1": 1, "2": 2, "3": 1, "4": 2})

@@ -1,11 +1,14 @@
 """Config parsing, staged execution, artifact consistency, CLI behavior."""
 
 import hashlib
+import os
 import re
+import time
+import warnings
 
 import pytest
 
-from storyfactors import cli, corpus, pipeline
+from storyfactors import ca, cli, corpus, pipeline
 
 STORY = """\
 The letter hides in the room. The police search the room. The police search again.
@@ -447,3 +450,118 @@ def test_cli_reports_config_errors(mini, capsys):
     rc = cli.main(["run", "--config", str(root / "absent.cfg"), "--out", str(root / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# The fit_ca stage writes the two contribution files in a forked child.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no os.fork")
+CA_FILES = {"row_coords": ("coordinates_csv", "row"), "col_coords": ("coordinates_csv", "col"),
+            "row_contrib": ("contributions_csv", "row"),
+            "col_contrib": ("contributions_csv", "col")}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_export_equals_in_process_writers(mini):
+    root, write_config = mini
+    result = pipeline.run_pipeline(pipeline.parse_config(write_config()),
+                                   out_dir=root / "out", upto="fit_ca")
+    _assert_no_child_left()
+    assert list(result.files)[-5:] == ["inertia", *CA_FILES]
+    for key, (writer, side) in CA_FILES.items():
+        expected = getattr(ca, writer)(result.model, side)
+        assert result.files[key].read_text(encoding="utf-8") == expected
+
+
+def test_export_without_fork_is_byte_identical(mini, monkeypatch):
+    root, write_config = mini
+    config = pipeline.parse_config(write_config())
+    forked = pipeline.run_pipeline(config, out_dir=root / "forked")
+    monkeypatch.delattr(os, "fork", raising=False)
+    inline = pipeline.run_pipeline(config, out_dir=root / "inline")
+    assert list(inline.files) == list(forked.files)
+    for key, path in forked.files.items():
+        assert inline.files[key].read_bytes() == path.read_bytes()
+
+
+@needs_fork
+def test_child_failure_is_a_fit_ca_stage_error(mini, monkeypatch):
+    root, write_config = mini
+
+    def broken(model, side="row"):
+        raise ValueError(f"no {side} contributions")
+
+    monkeypatch.setattr(ca, "contributions_csv", broken)
+    out = root / "out"
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
+    assert excinfo.value.stage == "fit_ca"
+    assert str(excinfo.value) == "[fit_ca] ValueError: no row contributions"
+    _assert_no_child_left()
+    assert list(out.iterdir()) == []
+
+
+@needs_fork
+def test_parent_failure_reaps_the_child_before_cleanup(mini, monkeypatch):
+    root, write_config = mini
+    contributions_csv = ca.contributions_csv
+
+    def slow(model, side="row"):  # still writing when the parent fails
+        time.sleep(0.3)
+        return contributions_csv(model, side)
+
+    def broken(model, side="row"):
+        raise ValueError("no coordinates")
+
+    monkeypatch.setattr(ca, "contributions_csv", slow)
+    monkeypatch.setattr(ca, "coordinates_csv", broken)
+    out = root / "out"
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
+    assert excinfo.value.stage == "fit_ca"
+    assert str(excinfo.value) == "[fit_ca] no coordinates"
+    _assert_no_child_left()
+    assert list(out.iterdir()) == []
+
+
+@needs_fork
+def test_failed_fork_is_a_fit_ca_stage_error(mini, monkeypatch):
+    root, write_config = mini
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    config = pipeline.parse_config(write_config())
+    open_fds = len(os.listdir("/dev/fd"))
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = root / "out"
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(config, out_dir=out)
+    assert excinfo.value.stage == "fit_ca"
+    assert isinstance(excinfo.value.cause, BlockingIOError)
+    assert len(os.listdir("/dev/fd")) == open_fds  # the pipe was closed
+    assert list(out.iterdir()) == []
+
+
+def test_cli_run_prints_its_summary_once(mini, capfd):
+    root, write_config = mini
+    out = root / "out"
+    assert cli.main(["run", "--config", str(write_config()), "--out", str(out)]) == 0
+    captured = capfd.readouterr()
+    lines = captured.out.splitlines()
+    # Nine stage lines (no aggregate) and the closing line, none repeated.
+    assert [line.partition(":")[0] for line in lines[:-1]] == [
+        stage for stage in pipeline.STAGES if stage != "aggregate"]
+    assert lines[-1] == f"wrote {len(FULL_RUN_FILES)} files to {out}"
+    assert captured.err == ""
+
+
+def test_full_run_raises_no_warning(mini):
+    # CPython 3.12+ warns when a process with threads forks.
+    root, write_config = mini
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=root / "out")
