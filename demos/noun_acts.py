@@ -34,10 +34,9 @@ print(f"{len(records)} sentences, {max(r.paragraph_id for r in records)} paragra
 
 # Keep only lexicon nouns occurring at least 5 times in 5 sentences.
 lexicon = corpus.load_word_list(DATA / "nouns_lexicon.txt")
-table = corpus.build_table(tokens)
 filt = corpus.CorpusFilter(min_total_count=5, min_doc_count=5,
                            min_word_length=2, lexicon=lexicon)
-nouns = corpus.apply_filter(table, filt)
+nouns = corpus.apply_filter(corpus.count_cells(tokens), filt)
 print(f"noun table: {nouns.shape[0]} sentences x {nouns.shape[1]} nouns, "
       f"{nouns.total} occurrences")
 

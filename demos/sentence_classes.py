@@ -22,11 +22,11 @@ DATA = Path(storyfactors.__file__).parent / "data"
 text = (DATA / "purloined_letter.txt").read_text(encoding="utf-8")
 records = textprep.segment_text(
     text, abbreviations=corpus.load_word_list(DATA / "abbreviations.txt"))
-table = corpus.build_table([textprep.tokenize(r) for r in records])
+cells = corpus.count_cells([textprep.tokenize(r) for r in records])
 filt = corpus.CorpusFilter(
     min_total_count=3, min_doc_count=3, min_word_length=2,
     stopwords=corpus.load_word_list(DATA / "stopwords_english.txt"))
-table = corpus.apply_filter(table, filt)
+table = corpus.apply_filter(cells, filt)
 print(f"table: {table.shape[0]} sentences x {table.shape[1]} words")
 
 # Embed on the first five factor axes and cluster with Ward, weighting

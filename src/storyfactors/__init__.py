@@ -34,7 +34,6 @@ from .corpus import (
     Segmentation,
     aggregate,
     apply_filter,
-    build_table,
     count_cells,
     load_word_list,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "VTestReport",
     "aggregate",
     "apply_filter",
-    "build_table",
     "characterize_clusters",
     "chi2_row_distance",
     "constrained_complete_link",

@@ -82,14 +82,11 @@ def characterize_clusters(
     table: ContingencyTable,
     partition: Partition,
     alpha: float,
-    normalize: bool = False,
     include_all: bool = False,
 ) -> VTestReport:
     """v-test every (cluster, word) pair; keep entries with p < alpha.
 
-    ``normalize`` switches the tested values from raw counts to
-    within-document frequencies.  ``include_all`` keeps the full report
-    regardless of significance.
+    ``include_all`` keeps the full report regardless of significance.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -100,8 +97,6 @@ def characterize_clusters(
 
     cluster_ids = np.array([partition.assignment[label] for label in table.row_labels])
     values = table.counts.astype(float)
-    if normalize:
-        values = values / values.sum(axis=1, keepdims=True)
     global_means = values.mean(axis=0)
     variances = values.var(axis=0)
 

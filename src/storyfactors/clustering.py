@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,29 +176,19 @@ def ward_cluster(cloud: PointCloud) -> Dendrogram:
     return Dendrogram(tuple(merges), n, "ward", cloud.labels)
 
 
-def constrained_complete_link(
-    cloud: PointCloud, order: Sequence[str] | None = None
-) -> Dendrogram:
+def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
     """Complete-link agglomeration restricted to chronologically adjacent pairs.
 
-    ``order`` permutes the labels into chronological sequence (identity by
-    default).  Every cluster at every stage is an interval of the sequence.
-    Ties go to the leftmost adjacent pair.  Only neighbouring intervals are
-    compared (Murtagh 1985), so memory is O(n) plus one buffer of at most
-    ``_PAIR_BLOCK`` pair differences (8 MB), or of one row if that is more.
+    The points are in chronological order, as given, and every cluster at
+    every stage is an interval of that sequence.  Ties go to the leftmost
+    adjacent pair.  Only neighbouring intervals are compared (Murtagh
+    1985), so memory is O(n) plus one buffer of at most ``_PAIR_BLOCK``
+    pair differences (8 MB), or of one row if that is more.
     """
     n = len(cloud)
     if n < 2:
         raise ValueError("clustering needs at least 2 points")
-    if order is None:
-        perm = list(range(n))
-    else:
-        if sorted(order) != sorted(cloud.labels):
-            raise ValueError("order must be a permutation of the cloud labels")
-        position = {label: i for i, label in enumerate(cloud.labels)}
-        perm = [position[label] for label in order]
-    coords = cloud.coords[perm]
-    labels = tuple(cloud.labels[i] for i in perm)
+    coords = cloud.coords
     d = coords.shape[1]
     width = max(d, 1)  # buffer elements per pair, so that d = 0 sizes like d = 1
     # One row of any cross block fits, and so does the largest cross block
@@ -252,7 +241,7 @@ def constrained_complete_link(
         adjacent = np.delete(adjacent, t)
         del starts[t + 1], node_id[t + 1]
         node_id[t] = n + step
-    return Dendrogram(tuple(merges), n, "constrained_complete", labels)
+    return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)
 
 
 def _components(dendrogram: Dendrogram, n_merges: int) -> list[list[int]]:
@@ -265,7 +254,7 @@ def _components(dendrogram: Dendrogram, n_merges: int) -> list[list[int]]:
     return sorted(nodes.values(), key=min)
 
 
-def cut_k(dendrogram: Dendrogram, k: int, degenerate: bool = False) -> Partition:
+def cut_k(dendrogram: Dendrogram, k: int) -> Partition:
     """Partition into ``k`` clusters by undoing the last ``k - 1`` merges.
 
     Cluster ids follow the chronological position of each cluster's
@@ -280,7 +269,7 @@ def cut_k(dendrogram: Dendrogram, k: int, degenerate: bool = False) -> Partition
         for leaf in component:
             cluster_of[leaf] = cid
     assignment = {dendrogram.labels[i]: cluster_of[i] for i in range(n)}
-    return Partition(k, assignment, degenerate)
+    return Partition(k, assignment)
 
 
 def cut_max_gap(dendrogram: Dendrogram) -> Partition:
@@ -300,7 +289,7 @@ def cut_max_gap(dendrogram: Dendrogram) -> Partition:
         if gap > best_gap:
             best_k, best_gap = k, gap
     if best_gap == 0.0:
-        return cut_k(dendrogram, 2, degenerate=True)
+        return replace(cut_k(dendrogram, 2), degenerate=True)
     return cut_k(dendrogram, best_k)
 
 

@@ -4,12 +4,12 @@ Tables are plain integer count matrices with ordered labels: rows follow
 the chronology of the text units, columns are the vocabulary in order of
 first appearance.  :func:`count_cells` counts tokens into a
 :class:`CellCounts`, the table's non-zero cells only, so no rows x words
-matrix is built before filtering; :meth:`CellCounts.dense` and
-:func:`build_table` give the full :class:`ContingencyTable`.  Filtering
-is a pipeline of passes (stopwords, word length, lexicon, frequency
-thresholds, empty-row removal) run by one kernel over the cells, whether
-:func:`apply_filter` receives cells or a dense table, and is idempotent:
-applying the same filter twice changes nothing.
+matrix is built before filtering; :meth:`CellCounts.dense` gives the
+full :class:`ContingencyTable`.  Filtering is a pipeline of passes
+(stopwords, word length, lexicon, frequency thresholds, empty-row
+removal) run by one kernel over the cells, whether :func:`apply_filter`
+receives cells or a dense table, and is idempotent: applying the same
+filter twice changes nothing.
 """
 
 from __future__ import annotations
@@ -149,18 +149,6 @@ class Segmentation:
                 assignment[label] = segment_id
             cursor += size
         return cls(name, assignment)
-
-
-def build_table(
-    token_lists: Iterable[TokenList],
-    unit: str = "sentence",
-    paragraph_ids: Mapping[int, int] | None = None,
-) -> ContingencyTable:
-    """Cross-tabulate tokens into a dense documents-by-words count table.
-
-    The rows, columns and counts are those of :func:`count_cells`.
-    """
-    return count_cells(token_lists, unit, paragraph_ids).dense()
 
 
 def count_cells(

@@ -129,8 +129,8 @@ def _parse_ranges(ranges: str) -> tuple[int, ...]:
     sizes = []
     expected = 1
     for piece in ranges.split(","):
-        lo_s, _, hi_s = piece.strip().partition("-")
-        lo, hi = int(lo_s), int(hi_s or lo_s)
+        lo_s, dash, hi_s = piece.strip().partition("-")
+        lo, hi = int(lo_s), int(hi_s if dash else lo_s)
         if lo != expected or hi < lo:
             raise ValueError(
                 f"segment ranges must partition 1..N contiguously; "
@@ -228,10 +228,14 @@ def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> dict[str, int
     assignment = {}
     for lineno, line in lines(path):
         label, _, segment = line.partition(",")
+        label = label.strip()
         try:
-            assignment[label.strip()] = int(segment)
+            segment = int(segment)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'label,segment', got {line!r}") from None
+        if label in assignment:
+            raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
+        assignment[label] = segment
     # Rows the file misses are reported by corpus.aggregate.
     return {label: assignment[label] for label in row_labels if label in assignment}
 

@@ -19,6 +19,8 @@ _ROW_COLOR = "#1f77b4"
 _COL_COLOR = "#d62728"
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _LABEL_STEP = 12.0  # vertical stacking offset for overlapping labels
+_PLANE_WIDTH, _PLANE_HEIGHT = 720.0, 540.0  # factor plane canvas (px)
+_TREE_WIDTH, _TREE_HEIGHT = 720.0, 480.0  # dendrogram canvas (px)
 
 
 def _escape(content: str) -> str:
@@ -35,8 +37,6 @@ class _Canvas:
     """Append-only SVG document builder."""
 
     def __init__(self, width: float, height: float) -> None:
-        self.width = width
-        self.height = height
         self.parts: list[str] = [
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n",
             f"<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width:g}\" "
@@ -88,9 +88,9 @@ def _select_points(
     selection: tuple,
 ) -> list[str]:
     """Resolve a selection rule to a list of point labels (model order)."""
-    labels, coords, _ = model.side(side)
+    labels = model.side(side)[0]
     if not isinstance(selection, tuple) or len(selection) != 2:
-        raise ValueError("selection must be ('top', k), ('origin', fraction) or ('labels', seq)")
+        raise ValueError("selection must be ('top', k) or ('labels', seq)")
     kind, arg = selection
     if kind == "top":
         k = int(arg)
@@ -98,16 +98,6 @@ def _select_points(
             raise ValueError("empty selection: top-k requires k >= 1")
         chosen = {lab for lab, _ in top_contributors(model, (axis_x, axis_y), k, side)}
         return [lab for lab in labels if lab in chosen]
-    if kind == "origin":
-        fraction = float(arg)
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("near-origin fraction must lie in (0, 1]")
-        radius = np.hypot(coords[:, axis_x - 1], coords[:, axis_y - 1])
-        cutoff = fraction * float(radius.max())
-        picked = [lab for i, lab in enumerate(labels) if radius[i] <= cutoff]
-        if not picked:
-            raise ValueError("empty selection: no points inside the near-origin window")
-        return picked
     if kind == "labels":
         wanted = list(arg)
         if not wanted:
@@ -141,18 +131,14 @@ def render_factor_plane(
     selection: tuple = ("top", 20),
     trajectory: bool = False,
     title: str | None = None,
-    width: float = 720.0,
-    height: float = 540.0,
 ) -> str:
     """Scatter a factor plane as an SVG document string.
 
     ``selection`` picks which points of ``side`` are drawn and labelled:
     ``('top', k)`` for the k points contributing most to the two displayed
-    axes, ``('origin', fraction)`` for points within ``fraction`` of the
-    largest point radius (a zoom on the centre of the plane), or
-    ``('labels', sequence)`` for an explicit list.  With ``trajectory``
-    the row points are additionally joined, in row order, by arrows —
-    for tables whose rows are chronological segments.
+    axes, or ``('labels', sequence)`` for an explicit list.  With
+    ``trajectory`` the row points are additionally joined, in row order,
+    by arrows — for tables whose rows are chronological segments.
     """
     labels, coords, _ = model.side(side)
     for axis in (axis_x, axis_y):
@@ -170,7 +156,7 @@ def render_factor_plane(
     shown = pts if traj is None else np.vstack([pts, traj])
     span_x = float(np.abs(shown[:, 0]).max())
     span_y = float(np.abs(shown[:, 1]).max())
-    margin = 56.0
+    width, height, margin = _PLANE_WIDTH, _PLANE_HEIGHT, 56.0
     # One common unit-per-pixel scale so plane distances keep their meaning.
     scale = min(
         (width / 2.0 - margin) / max(span_x, 1e-12),
@@ -252,8 +238,6 @@ def render_dendrogram(
     dendrogram: Dendrogram,
     cut: int | None = None,
     title: str | None = None,
-    width: float = 720.0,
-    height: float = 480.0,
 ) -> str:
     """Draw a merge tree as an SVG document string.
 
@@ -265,6 +249,7 @@ def render_dendrogram(
     n = dendrogram.n_leaves
     merges = dendrogram.merges
     order = _leaf_order(dendrogram)
+    width, height = _TREE_WIDTH, _TREE_HEIGHT
     margin_l, margin_r, margin_t, margin_b = 64.0, 24.0, 30.0, 60.0
     span = width - margin_l - margin_r
     step = span / n

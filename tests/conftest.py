@@ -17,13 +17,13 @@ def data_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def poe():
-    """Segmented, tokenized bundled text plus its raw sentence table."""
+    """Segmented, tokenized bundled text plus its unfiltered sentence cells."""
     text = (DATA / "purloined_letter.txt").read_text(encoding="utf-8")
     abbreviations = corpus.load_word_list(DATA / "abbreviations.txt")
     records = textprep.segment_text(text, abbreviations=abbreviations)
     tokens = [textprep.tokenize(r) for r in records]
-    table = corpus.build_table(tokens, unit="sentence")
-    return {"records": records, "tokens": tokens, "table": table}
+    cells = corpus.count_cells(tokens, unit="sentence")
+    return {"records": records, "tokens": tokens, "cells": cells}
 
 
 @pytest.fixture(scope="session")

@@ -124,20 +124,6 @@ def test_report_sorted_and_filtered_by_alpha():
     assert len(report.entries) <= len(everything.entries)
 
 
-def test_normalize_removes_document_length_effect():
-    # Clusters share one profile but differ in document length: raw counts
-    # flag every word, frequencies flag nothing.
-    counts = np.array([[1, 1]] * 5 + [[4, 4]] * 5)
-    table = ContingencyTable(tuple(str(i) for i in range(10)), ("w0", "w1"), counts)
-    partition = _split_partition(10, 5)
-    raw = characterize.characterize_clusters(table, partition, alpha=0.05)
-    assert raw.entries
-    normalized = characterize.characterize_clusters(
-        table, partition, alpha=0.05, normalize=True
-    )
-    assert not normalized.entries
-
-
 def test_characterize_validation():
     table = ContingencyTable(("0", "1"), ("w0", "w1"), np.ones((2, 2), dtype=int))
     partition = _split_partition(2, 1)

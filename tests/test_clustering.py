@@ -80,15 +80,6 @@ def test_constrained_merges_closest_adjacent_pair_first():
     assert dendrogram.merges == ((1, 2, 1.0, 2), (0, 3, 11.0, 3))
 
 
-def test_constrained_order_permutes_sequence():
-    cloud = PointCloud(("a", "b", "c"), np.array([[0.0], [2.0], [1.0]]))
-    dendrogram = clustering.constrained_complete_link(cloud, order=("a", "c", "b"))
-    assert dendrogram.labels == ("a", "c", "b")
-    assert dendrogram.heights == (1.0, 2.0)
-    with pytest.raises(ValueError, match="permutation"):
-        clustering.constrained_complete_link(cloud, order=("a", "c", "x"))
-
-
 def test_minimum_cloud_size():
     single = PointCloud(("a",), np.zeros((1, 2)))
     with pytest.raises(ValueError, match="at least 2"):
@@ -232,24 +223,17 @@ def test_constrained_memory_is_bounded_by_one_row_block():
 _MATRIX_ROW_BLOCK = 2**22
 
 
-def _matrix_constrained(cloud, order=None):
+def _matrix_constrained(cloud):
     """Constrained complete link over the full n x n cost matrix.
 
     The algorithm before the interval chain, kept verbatim (its row block
-    renamed) as the bitwise reference for merges and heights.
+    renamed, its ``order`` option dropped) as the bitwise reference for
+    merges and heights.
     """
     n = len(cloud)
     if n < 2:
         raise ValueError("clustering needs at least 2 points")
-    if order is None:
-        perm = list(range(n))
-    else:
-        if sorted(order) != sorted(cloud.labels):
-            raise ValueError("order must be a permutation of the cloud labels")
-        position = {label: i for i, label in enumerate(cloud.labels)}
-        perm = [position[label] for label in order]
-    coords = cloud.coords[perm]
-    labels = tuple(cloud.labels[i] for i in perm)
+    coords = cloud.coords
 
     # Distances in row blocks of at most _PAIR_BLOCK differences (or one row);
     # each sums the same contiguous vector as an n x n x d tensor, bit for bit.
@@ -282,7 +266,7 @@ def _matrix_constrained(cloud, order=None):
             adjacent[t] = cost[a, chain[t + 1]]
         sizes[a] += sizes[b]
         node_id[a] = n + step
-    return Dendrogram(tuple(merges), n, "constrained_complete", labels)
+    return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)
 
 
 @pytest.mark.parametrize("block", [64, 1])
@@ -301,11 +285,10 @@ def test_constrained_matches_cost_matrix_bitwise(monkeypatch, block):
         else:  # the second half repeats the first: zero distances
             coords = rng.normal(size=(n, d))
             coords[n - n // 2:] = coords[:n // 2]
-        labels = tuple(f"p{i}" for i in range(n))
-        cloud = PointCloud(labels, coords)
-        order = None if trial % 3 else tuple(labels[i] for i in rng.permutation(n))
-        got = clustering.constrained_complete_link(cloud, order=order)
-        assert got == _matrix_constrained(cloud, order=order)
+        perm = np.arange(n) if trial % 3 else rng.permutation(n)  # some shuffled sequences
+        cloud = PointCloud(tuple(f"p{i}" for i in perm), coords[perm])
+        got = clustering.constrained_complete_link(cloud)
+        assert got == _matrix_constrained(cloud)
 
 
 def test_constrained_matches_cost_matrix_at_scale():

@@ -21,23 +21,23 @@ def _tl(sentence_id, *tokens):
 
 
 def test_build_table_first_appearance_columns():
-    table = corpus.build_table([_tl(1, "b", "a", "b"), _tl(2, "c", "a")])
+    table = corpus.count_cells([_tl(1, "b", "a", "b"), _tl(2, "c", "a")]).dense()
     assert table.col_labels == ("b", "a", "c")
     assert table.row_labels == ("1", "2")
     assert table.counts.tolist() == [[2, 1, 0], [0, 1, 1]]
 
 
 def test_build_table_keeps_empty_sentences():
-    table = corpus.build_table([_tl(1, "x"), _tl(2), _tl(3, "x")])
+    table = corpus.count_cells([_tl(1, "x"), _tl(2), _tl(3, "x")]).dense()
     assert table.row_labels == ("1", "2", "3")
     assert table.row_totals().tolist() == [1, 0, 1]
 
 
 def test_build_table_paragraph_unit_sums_sentences():
     token_lists = [_tl(1, "a"), _tl(2, "b", "a"), _tl(3, "c")]
-    table = corpus.build_table(
+    table = corpus.count_cells(
         token_lists, unit="paragraph", paragraph_ids={1: 1, 2: 1, 3: 2}
-    )
+    ).dense()
     assert table.row_labels == ("1", "2")
     assert table.col_labels == ("a", "b", "c")
     assert table.counts.tolist() == [[2, 1, 0], [0, 0, 1]]
@@ -45,18 +45,18 @@ def test_build_table_paragraph_unit_sums_sentences():
 
 def test_build_table_paragraph_unit_requires_ids():
     with pytest.raises(ValueError, match="paragraph id"):
-        corpus.build_table([_tl(1, "a")], unit="paragraph")
+        corpus.count_cells([_tl(1, "a")], unit="paragraph")
     with pytest.raises(ValueError, match="no paragraph id for sentence 2"):
-        corpus.build_table(
+        corpus.count_cells(
             [_tl(1, "a"), _tl(2, "b")], unit="paragraph", paragraph_ids={1: 1}
         )
 
 
 def test_build_table_rejects_unknown_unit_and_empty_corpus():
     with pytest.raises(ValueError, match="unit"):
-        corpus.build_table([_tl(1, "a")], unit="chapter")
+        corpus.count_cells([_tl(1, "a")], unit="chapter")
     with pytest.raises(ValueError, match="empty corpus"):
-        corpus.build_table([_tl(1), _tl(2)])
+        corpus.count_cells([_tl(1), _tl(2)])
 
 
 def test_table_validates_shape_labels_and_counts():
@@ -89,7 +89,7 @@ def test_table_leaves_the_callers_array_writable():
 
 
 def test_transpose_is_involutive():
-    table = corpus.build_table([_tl(1, "a", "b"), _tl(2, "b")])
+    table = corpus.count_cells([_tl(1, "a", "b"), _tl(2, "b")]).dense()
     back = table.transpose().transpose()
     assert back.row_labels == table.row_labels
     assert back.col_labels == table.col_labels
@@ -104,7 +104,7 @@ def _demo_table():
         _tl(3, "the", "a"),
         _tl(4, "the", "the", "cat", "mat", "zz"),
     ]
-    return corpus.build_table(rows)
+    return corpus.count_cells(rows).dense()
 
 
 def test_apply_filter_pass_order():
@@ -135,7 +135,7 @@ def test_apply_filter_empty_vocabulary_is_an_error():
 def test_doc_counts_use_pre_threshold_table():
     # "b" appears in 2 docs before thresholds; dropping "a" first must not
     # change that, so min_doc_count=2 keeps "b".
-    table = corpus.build_table([_tl(1, "a", "b"), _tl(2, "b")])
+    table = corpus.count_cells([_tl(1, "a", "b"), _tl(2, "b")]).dense()
     out = corpus.apply_filter(
         table, corpus.CorpusFilter(min_doc_count=2, stopwords=frozenset({"a"}))
     )
@@ -358,9 +358,9 @@ def test_build_table_matches_per_token_loop(corpus_and_ids, unit):
     token_lists, paragraphs = corpus_and_ids
     if not any(tl.tokens for tl in token_lists):
         with pytest.raises(ValueError, match="empty corpus"):
-            corpus.build_table(token_lists, unit=unit, paragraph_ids=paragraphs)
+            corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs)
         return
-    _assert_same_table(corpus.build_table(token_lists, unit=unit, paragraph_ids=paragraphs),
+    _assert_same_table(corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs).dense(),
                        _reference_build_table(token_lists, unit, paragraphs))
 
 
@@ -440,7 +440,7 @@ def test_count_and_filter_never_build_the_unfiltered_table():
 
     assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists), filt)) < bound
     # The dense route exceeds the bound, so the bound can tell them apart.
-    assert traced_peak(lambda: corpus.apply_filter(corpus.build_table(token_lists), filt)) > bound
+    assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists).dense(), filt)) > bound
 
 
 def test_apply_filter_keeps_an_empty_label_at_minimum_length_one():

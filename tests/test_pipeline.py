@@ -113,6 +113,7 @@ def test_parse_config_rejects_segment_sizes_with_segment_ranges(mini):
 @pytest.mark.parametrize("key, value", [
     ("min_total_count", "abc"),
     ("segment_ranges", "1-3,"),
+    ("segment_ranges", "1-1,2-"),
     ("plot_axes", "1"),
     ("plot_axes", "1,2,3"),
     ("segment_sizes", "3,,4"),
@@ -373,6 +374,16 @@ def test_segment_size_mismatch_is_a_stage_error(mini):
     with pytest.raises(pipeline.StageError,
                        match=rf"\[aggregate\] {re.escape(str(seg_file))}:3: expected 'label,segment'"):
         pipeline.run_pipeline(malformed, out_dir=root / "file")
+
+
+def test_segment_file_duplicate_label_is_a_stage_error(mini):
+    root, write_config = mini
+    seg_file = root / "seg.csv"
+    seg_file.write_text("1,1\n3,2\n# comment\n3,1\n")
+    config = pipeline.parse_config(write_config(segment_file="seg.csv"))
+    with pytest.raises(pipeline.StageError,
+                       match=rf"\[aggregate\] {re.escape(str(seg_file))}:4: duplicate label '3'$"):
+        pipeline.run_pipeline(config, out_dir=root / "out")
 
 
 def test_paragraph_unit_runs_end_to_end(mini):

@@ -94,13 +94,6 @@ def test_selection_rules():
     # Model order is preserved.
     assert top == [lab for lab in model.col_labels if lab in top]
 
-    near = plots._select_points(model, 1, 2, "col", ("origin", 1.0))
-    assert near == list(model.col_labels)
-    radius = np.hypot(model.col_coords[:, 0], model.col_coords[:, 1])
-    half = plots._select_points(model, 1, 2, "col", ("origin", 0.5))
-    cutoff = 0.5 * radius.max()
-    assert set(half) == {lab for lab, r in zip(model.col_labels, radius) if r <= cutoff}
-
     explicit = plots._select_points(
         model, 1, 2, "col", ("labels", [model.col_labels[4], model.col_labels[1]])
     )
@@ -145,10 +138,10 @@ def test_selection_validation():
         plots.render_factor_plane(model, selection=("labels", []))
     with pytest.raises(ValueError, match="unknown col labels: nope"):
         plots.render_factor_plane(model, selection=("labels", ["nope"]))
-    with pytest.raises(ValueError, match="fraction"):
-        plots.render_factor_plane(model, selection=("origin", 0.0))
     with pytest.raises(ValueError, match="selection"):
         plots.render_factor_plane(model, selection=("best", 3))
+    with pytest.raises(ValueError, match=r"^selection must be \('top', k\) or \('labels', seq\)$"):
+        plots.render_factor_plane(model, selection=["top", 3])
 
 
 def test_axis_and_side_validation():
