@@ -36,7 +36,7 @@ print(f"{len(records)} sentences, {max(r.paragraph_id for r in records)} paragra
 lexicon = corpus.load_word_list(DATA / "nouns_lexicon.txt")
 filt = corpus.CorpusFilter(min_total_count=5, min_doc_count=5,
                            min_word_length=2, lexicon=lexicon)
-nouns = corpus.apply_filter(corpus.count_cells(tokens), filt)
+nouns = corpus.apply_filter(corpus.count_cells(tokens), filt).dense()
 print(f"noun table: {nouns.shape[0]} sentences x {nouns.shape[1]} nouns, "
       f"{nouns.total} occurrences")
 

@@ -6,7 +6,7 @@ import csv
 import io
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def lines(path: str | Path):
@@ -40,16 +40,19 @@ def read_csv(text: str):
     return next(reader, None), ((reader.line_num, row) for row in reader if row)
 
 
-def labelled_csv(header: Sequence[str], labels: Sequence[str], bodies: Iterable[str]) -> str:
-    """CSV rows of a label quoted by csv, then cells formatted by the caller.
+def labelled_csv(header: Sequence[str], labels: Sequence[str],
+                 bodies: Iterable[str]) -> Iterator[str]:
+    """CSV rows, one string each, of a label quoted by csv, then cells formatted by the caller.
 
     ``bodies`` holds one ``",v1,v2,...\\n"`` line per label, not quoted; the
-    bytes are those of :func:`write_csv` over the header and
-    ``[label, *cells]`` whenever no cell needs quoting.
+    rows joined are the bytes of :func:`write_csv` over the header and
+    ``[label, *cells]`` whenever no cell needs quoting.  Bodies are read
+    one row at a time, so a caller can write the rows as they come.
     """
     if len(header) == 1:  # csv quotes a lone empty field, so keep its own rows
-        return write_csv(header, ((label,) for label in labels))
-    out = _csv_rows(header, ((label, "") for label in labels))  # quoted label + ",\n"
-    for i, body in enumerate(bodies, start=1):
-        out[i] = out[i][:-2] + body
-    return "".join(out)
+        yield from _csv_rows(header, ((label,) for label in labels))
+        return
+    header_row, *rows = _csv_rows(header, ((label, "") for label in labels))  # label + ",\n"
+    yield header_row
+    for row, body in zip(rows, bodies, strict=True):
+        yield row[:-2] + body

@@ -83,6 +83,9 @@ def fit_ca(table: ContingencyTable) -> CAModel:
     key sorts lower), so fitting a table and fitting its transpose give
     exactly swapped row and column outputs, bit for bit.
     """
+    if not isinstance(table, ContingencyTable):  # cells, as apply_filter returns them
+        raise TypeError(f"fit_ca needs a ContingencyTable, got {type(table).__name__}; "
+                        "call its .dense()")
     counts = table.counts
     n, m = counts.shape
     if n < 2 or m < 2:
@@ -238,5 +241,5 @@ def contributions_csv(model: CAModel, side: str = "row") -> str:
 def _matrix_csv(labels: tuple[str, ...], matrix: np.ndarray, n_axes: int) -> str:
     """Quote labels with csv; format each row of numbers with one template."""
     template = ",%.12g" * n_axes + "\n"  # bytes of format(v, ".12g"), never quoted
-    return labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
-                        (template % tuple(row.tolist()) for row in matrix))
+    return "".join(labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
+                                (template % tuple(row.tolist()) for row in matrix)))

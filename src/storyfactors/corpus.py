@@ -1,15 +1,17 @@
 """Document-term contingency tables and vocabulary filtering.
 
-Tables are plain integer count matrices with ordered labels: rows follow
-the chronology of the text units, columns are the vocabulary in order of
-first appearance.  :func:`count_cells` counts tokens into a
-:class:`CellCounts`, the table's non-zero cells only, so no rows x words
-matrix is built before filtering; :meth:`CellCounts.dense` gives the
-full :class:`ContingencyTable`.  Filtering is a pipeline of passes
-(stopwords, word length, lexicon, frequency thresholds, empty-row
-removal) run by one kernel over the cells, whether :func:`apply_filter`
-receives cells or a dense table, and is idempotent: applying the same
-filter twice changes nothing.
+Tables are integer count tables with ordered labels: rows follow the
+chronology of the text units, columns are the vocabulary in order of
+first appearance.  A table is kept as a :class:`CellCounts`, its
+non-zero cells only, from counting until something needs it dense:
+:func:`count_cells` counts tokens into cells, :func:`apply_filter`
+returns the kept cells, :func:`aggregate` sums cells into a dense
+segments x words :class:`ContingencyTable`, and :func:`table_csv_rows`
+formats one row block at a time.  :meth:`CellCounts.dense` gives the
+full table.  Filtering is a pipeline of passes (stopwords, word length,
+lexicon, frequency thresholds, empty-row removal) run by one kernel over
+the cells, whether :func:`apply_filter` receives cells or a dense table,
+and is idempotent: applying the same filter twice changes nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -197,15 +199,16 @@ def count_cells(
                       _frozen(counts.astype(np.int64, copy=False)))
 
 
-def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> ContingencyTable:
+def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> CellCounts:
     """Run the filter passes in their fixed order and drop emptied rows.
 
     Pass order: stopword removal, minimum word length, lexicon allow-list,
     then the frequency thresholds evaluated against the table as it stands
     at that point (document frequencies are not recomputed after columns
     drop), and finally removal of all-zero rows.  A dense table is first
-    reduced to its :class:`CellCounts`, so both inputs take one path, and
-    only the kept rows x kept columns are ever made dense.
+    reduced to its :class:`CellCounts`, so both inputs take one path.
+    Returns the kept cells, renumbered to the kept rows and columns;
+    :meth:`CellCounts.dense` makes them a table.
     """
     if isinstance(table, ContingencyTable):
         table = CellCounts.of(table)
@@ -234,20 +237,24 @@ def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> Co
     dropped = list(compress(table.row_labels, ~row_ok))
     if dropped:
         logger.info("filter emptied %d rows: %s", len(dropped), ", ".join(dropped))
+    # Both renumberings keep order, so the kept cells stay sorted and unique.
     new_row, new_col = np.cumsum(row_ok) - 1, np.cumsum(keep) - 1  # old -> kept index
     m = int(new_col[-1]) + 1
-    counts = np.zeros((n - len(dropped), m), dtype=np.int64)
-    counts.reshape(-1)[new_row[rows] * m + new_col[cols]] = table.counts[kept]
-    return ContingencyTable(tuple(compress(table.row_labels, row_ok)),
-                            tuple(compress(table.col_labels, keep)), _frozen(counts))
+    return CellCounts(tuple(compress(table.row_labels, row_ok)),
+                      tuple(compress(table.col_labels, keep)),
+                      _frozen(new_row[rows] * m + new_col[cols]), _frozen(table.counts[kept]))
 
 
-def aggregate(table: ContingencyTable, segmentation: Segmentation) -> ContingencyTable:
+def aggregate(table: ContingencyTable | CellCounts, segmentation: Segmentation) -> ContingencyTable:
     """Sum consecutive row blocks into one row per segment.
 
     Every row label must be assigned; segment ids must be contiguous runs
-    in row order.  Column labels and column totals are unchanged.
+    in row order.  Column labels and column totals are unchanged.  The
+    sums are taken over the non-zero cells, so only the segments x words
+    result is dense.
     """
+    if isinstance(table, ContingencyTable):
+        table = CellCounts.of(table)
     segment_ids = []
     for label in table.row_labels:
         if label not in segmentation.assignment:
@@ -259,12 +266,10 @@ def aggregate(table: ContingencyTable, segmentation: Segmentation) -> Contingenc
     ids = np.asarray(segment_ids, dtype=np.int64)
     if (np.diff(ids) < 0).any():
         raise ValueError(f"segmentation {segmentation.name!r} is not contiguous in row order")
-    counts = np.zeros((len(order), len(table.col_labels)), dtype=np.int64)
-    # One column sum per run of equal ids (np.add.reduceat along axis 0 is
-    # several times slower); a segment with no row of the table stays 0.
-    starts = np.flatnonzero(np.diff(ids, prepend=0)).tolist()
-    for start, end in zip(starts, [*starts[1:], len(ids)]):
-        counts[ids[start] - 1] = table.counts[start:end].sum(axis=0)
+    m = len(table.col_labels)
+    rows, cols = np.divmod(table.cells, m)
+    counts = np.zeros((len(order), m), dtype=np.int64)
+    np.add.at(counts.reshape(-1), (ids[rows] - 1) * m + cols, table.counts)
     return ContingencyTable(tuple(str(sid) for sid in order), table.col_labels, _frozen(counts))
 
 
@@ -277,20 +282,38 @@ def load_word_list(path: str | Path) -> frozenset[str]:
     return frozenset(line for _, line in lines(path))
 
 
-def table_to_csv(table: ContingencyTable) -> str:
-    """Serialize a table: header of word labels, one row per document.
+def table_to_csv(table: ContingencyTable | CellCounts) -> str:
+    """Serialize a table: header of word labels, one row per document."""
+    return "".join(table_csv_rows(table))
+
+
+def table_csv_rows(table: ContingencyTable | CellCounts) -> Iterator[str]:
+    """The lines of :func:`table_to_csv`, header first, one string each.
 
     The bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over
     ``[label, *counts]`` with each count written as ``str(int)``: labels
     are quoted by csv itself, and the counts, which csv never quotes, are
-    formatted by numpy in row blocks of about ``_CSV_BLOCK_BYTES``.
+    formatted by numpy in row blocks of about ``_CSV_BLOCK_BYTES``.  Only
+    one row block is dense at a time, taken from the cells of a
+    :class:`CellCounts`, so writing the lines as they come never holds
+    the whole table or its text.
     """
-    counts = table.counts
-    n, m = counts.shape
-    width = len(str(int(counts.max(initial=0))))
+    n, m = table.shape
+    top = int(table.counts.max(initial=0))
+    width = len(str(top))
+    dtype = np.min_scalar_type(top)  # the digit loop's arrays take 1-8 bytes per cell
     rows_per_block = max(1, _CSV_BLOCK_BYTES // (m * (width + 1) + 1))
+
+    def block(start: int, stop: int) -> np.ndarray:
+        if isinstance(table, ContingencyTable):
+            return table.counts[start:stop].astype(dtype)
+        lo, hi = np.searchsorted(table.cells, (start * m, stop * m))
+        counts = np.zeros((stop - start, m), dtype=dtype)
+        counts.reshape(-1)[table.cells[lo:hi] - start * m] = table.counts[lo:hi]
+        return counts
+
     bodies = (body for start in range(0, n, rows_per_block) for body in
-              _count_rows(counts[start:start + rows_per_block], width).splitlines(True))
+              _count_rows(block(start, min(start + rows_per_block, n)), width).splitlines(True))
     return labelled_csv(["doc_id", *table.col_labels], table.row_labels, bodies)
 
 

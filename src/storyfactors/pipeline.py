@@ -25,7 +25,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import ca, characterize, clustering, corpus, plots, textprep
 from ._formats import lines
@@ -206,16 +206,20 @@ class PipelineResult:
     sentences: list[textprep.SentenceRecord] | None = None
     tokens: list[textprep.TokenList] | None = None
     cells: corpus.CellCounts | None = None  # the built, unfiltered table
-    table: corpus.ContingencyTable | None = None  # the analysed (final) table
+    # The analysed table: the filtered cells, then dense from the aggregate
+    # stage (its segments) or the fit_ca stage on.
+    table: corpus.CellCounts | corpus.ContingencyTable | None = None
     model: ca.CAModel | None = None
     dendrogram: clustering.Dendrogram | None = None
     partition: clustering.Partition | None = None
     report: characterize.VTestReport | None = None
 
 
-def _write(result: PipelineResult, key: str, content: str) -> None:
+def _write(result: PipelineResult, key: str, content: str | Iterable[str]) -> None:
+    """Write an artifact given whole or as chunks, which are written as they come."""
     path = result.out_dir / _ARTIFACTS[key]
-    path.write_text(content, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.writelines([content] if isinstance(content, str) else content)
     result.files[key] = path
 
 
@@ -224,7 +228,8 @@ def _remove_artifacts(directory: Path) -> None:
         (directory / filename).unlink(missing_ok=True)
 
 
-def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> dict[str, int]:
+def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> tuple[dict[str, int], int]:
+    """The given rows' segment ids, and the number of segments the file declares."""
     assignment = {}
     for lineno, line in lines(path):
         label, _, segment = line.partition(",")
@@ -236,17 +241,24 @@ def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> dict[str, int
         if label in assignment:
             raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
         assignment[label] = segment
+    ids = sorted(set(assignment.values()))
+    if ids != list(range(1, len(ids) + 1)):
+        raise ValueError(f"{path}: segment ids must be 1..k, got {len(ids)} ids "
+                         f"from {ids[0]} to {ids[-1]}")
     # Rows the file misses are reported by corpus.aggregate.
-    return {label: assignment[label] for label in row_labels if label in assignment}
+    return {label: assignment[label] for label in row_labels if label in assignment}, len(ids)
 
 
-def _segmentation_for(config: PipelineConfig, result: PipelineResult) -> corpus.Segmentation:
+def _segmentation_for(config: PipelineConfig,
+                      result: PipelineResult) -> tuple[corpus.Segmentation, int]:
+    """The segmentation of the table's rows, and the number of segments declared."""
     labels = result.table.row_labels
     if config.segment_file is not None:
-        return corpus.Segmentation("file", _read_segment_file(config.segment_file, labels))
+        assignment, k = _read_segment_file(config.segment_file, labels)
+        return corpus.Segmentation("file", assignment), k
     sizes = config.segment_sizes
     if config.segment_by == "row":
-        return corpus.Segmentation.from_sizes("rows", labels, sizes)
+        return corpus.Segmentation.from_sizes("rows", labels, sizes), len(sizes)
     # segment_by paragraph: rows are mapped through their paragraph id.
     if config.unit == "paragraph":
         paragraph_of = {label: int(label) for label in labels}
@@ -261,7 +273,7 @@ def _segmentation_for(config: PipelineConfig, result: PipelineResult) -> corpus.
     by_paragraph = corpus.Segmentation.from_sizes(
         "paragraphs", range(1, covered + 1), sizes).assignment
     return corpus.Segmentation(
-        "paragraphs", {label: by_paragraph[paragraph_of[label]] for label in labels})
+        "paragraphs", {label: by_paragraph[paragraph_of[label]] for label in labels}), len(sizes)
 
 
 # Stages.  Each reads and fills ``result`` and returns its summary line, or
@@ -311,15 +323,19 @@ def _filter(config: PipelineConfig, result: PipelineResult) -> str:
     )
     built_rows = result.cells.shape[0]
     table = result.table = corpus.apply_filter(result.cells, filt)
-    _write(result, "table", corpus.table_to_csv(table))
-    return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
+    _write(result, "table", corpus.table_csv_rows(table))
+    return (f"filter: {table.shape[1]} words, {int(table.counts.sum())} occurrences, "
             f"{table.shape[0]} non-empty rows, {built_rows - table.shape[0]} emptied")
 
 
 def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
     if config.segment_sizes is None and config.segment_file is None:
         return None
-    table = result.table = corpus.aggregate(result.table, _segmentation_for(config, result))
+    segmentation, k = _segmentation_for(config, result)
+    empty = set(range(1, k + 1)).difference(segmentation.assignment.values())
+    if empty:
+        raise ValueError(f"segment {min(empty)} of {k} has no rows after filtering")
+    table = result.table = corpus.aggregate(result.table, segmentation)
     _write(result, "segments", corpus.table_to_csv(table))
     return f"aggregate: {table.shape[0]} segments"
 
@@ -373,6 +389,8 @@ def _alongside(job: Callable[[], None]) -> Iterator[None]:
 
 
 def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
+    if isinstance(result.table, corpus.CellCounts):  # no aggregate stage made it dense
+        result.table = result.table.dense()
     model = result.model = ca.fit_ca(result.table)
 
     # Most of the export is CPython's float formatting, which holds the GIL;

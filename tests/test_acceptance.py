@@ -43,21 +43,21 @@ def _within(value, target, relative):
 def t3(poe, stopwords):
     filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3,
                                min_word_length=2, stopwords=stopwords)
-    return corpus.apply_filter(poe["cells"], filt)
+    return corpus.apply_filter(poe["cells"], filt).dense()
 
 
 @pytest.fixture(scope="module")
 def t4(poe, stopwords):
     filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3,
                                min_word_length=5, stopwords=stopwords)
-    return corpus.apply_filter(poe["cells"], filt)
+    return corpus.apply_filter(poe["cells"], filt).dense()
 
 
 @pytest.fixture(scope="module")
 def t5(poe, noun_lexicon):
     filt = corpus.CorpusFilter(min_total_count=5, min_doc_count=5,
                                min_word_length=2, lexicon=noun_lexicon)
-    return corpus.apply_filter(poe["cells"], filt)
+    return corpus.apply_filter(poe["cells"], filt).dense()
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from storyfactors import ca, plots
-from storyfactors.corpus import ContingencyTable
+from storyfactors.corpus import CellCounts, ContingencyTable
 
 from conftest import random_table
 
@@ -81,6 +81,13 @@ def test_fit_rejects_degenerate_tables():
         ca.fit_ca(_table([[1, 2], [0, 0], [3, 1]]))
     with pytest.raises(ValueError, match="zero column: 'c2'"):
         ca.fit_ca(_table([[1, 2, 0], [3, 1, 0]]))
+
+
+def test_fit_asks_for_a_dense_table_when_given_cells():
+    cells = CellCounts.of(_table([[1, 2], [3, 1]]))
+    with pytest.raises(TypeError, match=r"got CellCounts; call its \.dense\(\)"):
+        ca.fit_ca(cells)
+    assert ca.fit_ca(cells.dense()).n_axes == 1
 
 
 def test_centering_and_axis_inertia_identities():

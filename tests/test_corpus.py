@@ -113,7 +113,7 @@ def test_apply_filter_pass_order():
         min_total_count=2, min_doc_count=2, min_word_length=2,
         stopwords=frozenset({"the"}),
     )
-    out = corpus.apply_filter(table, filt)
+    out = corpus.apply_filter(table, filt).dense()
     # "the" stopworded, "a" too short, "sat"/"zz" below thresholds.
     assert out.col_labels == ("cat", "mat")
     assert out.row_labels == ("1", "2", "4")  # row 3 emptied and dropped
@@ -175,7 +175,7 @@ def test_apply_filter_is_idempotent(table, filt):
 @settings(max_examples=60, deadline=None)
 def test_apply_filter_output_meets_thresholds(table, filt):
     try:
-        out = corpus.apply_filter(table, filt)
+        out = corpus.apply_filter(table, filt).dense()
     except ValueError:
         return
     assert (out.column_totals() >= filt.min_total_count).all()
@@ -220,10 +220,12 @@ def test_aggregate_equals_row_by_row_sums(table, data):
     assignment = dict(zip(table.row_labels, ids.tolist()))
     assignment.update((f"gap{sid}", sid) for sid in sorted(set(range(1, top + 1)) - set(ids.tolist())))
     seg = corpus.Segmentation("s", assignment)
-    out = corpus.aggregate(table, seg)
-    assert out.row_labels == tuple(str(sid) for sid in range(1, top + 1))
-    assert out.counts.dtype == np.int64
-    assert np.array_equal(out.counts, _aggregate_row_by_row(table, seg))
+    for source in (table, corpus.CellCounts.of(table)):
+        out = corpus.aggregate(source, seg)
+        assert out.row_labels == tuple(str(sid) for sid in range(1, top + 1))
+        assert out.counts.dtype == np.int64
+        assert np.array_equal(out.counts, _aggregate_row_by_row(table, seg))
+        assert np.array_equal(out.counts, _aggregate_slice_sums(table, seg))
 
 
 def test_aggregate_rejects_non_contiguous_segments():
@@ -321,6 +323,45 @@ def _reference_apply_filter(table, filt):
     return corpus.ContingencyTable(row_labels, tuple(kept_words), counts.copy())
 
 
+def _dense_apply_filter(table, filt):
+    """``corpus.apply_filter`` when it filled the kept rows x kept words densely."""
+    table = corpus.CellCounts.of(table) if isinstance(table, corpus.ContingencyTable) else table
+    n, V = table.shape
+    rows, cols = np.divmod(table.cells, V)
+    totals = np.zeros(V, dtype=np.int64)
+    np.add.at(totals, cols, table.counts)
+    keep = (totals >= filt.min_total_count) & (
+        np.bincount(cols, minlength=V) >= filt.min_doc_count)
+    keep &= np.fromiter(
+        ((filt.min_word_length <= 1 or len(w) >= filt.min_word_length)
+         and w not in filt.stopwords
+         and (filt.lexicon is None or w in filt.lexicon) for w in table.col_labels),
+        dtype=bool, count=V)
+    if not keep.any():
+        raise ValueError("empty vocabulary: filter removed every column")
+    kept = keep[cols]
+    rows, cols = rows[kept], cols[kept]
+    row_ok = np.zeros(n, dtype=bool)
+    row_ok[rows] = True
+    new_row, new_col = np.cumsum(row_ok) - 1, np.cumsum(keep) - 1
+    m = int(new_col[-1]) + 1
+    counts = np.zeros((int(row_ok.sum()), m), dtype=np.int64)
+    counts.reshape(-1)[new_row[rows] * m + new_col[cols]] = table.counts[kept]
+    return corpus.ContingencyTable(
+        tuple(label for label, ok in zip(table.row_labels, row_ok) if ok),
+        tuple(label for label, ok in zip(table.col_labels, keep) if ok), counts)
+
+
+def _aggregate_slice_sums(table, segmentation):
+    """``corpus.aggregate`` when it summed each run of equal ids as one dense slice."""
+    ids = np.array([segmentation.assignment[label] for label in table.row_labels])
+    counts = np.zeros((len(segmentation.segments()), len(table.col_labels)), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(ids, prepend=0)).tolist()
+    for start, end in zip(starts, [*starts[1:], len(ids)]):
+        counts[ids[start] - 1] = table.counts[start:end].sum(axis=0)
+    return counts
+
+
 def _reference_table_to_csv(table):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -397,7 +438,7 @@ def test_apply_filter_matches_chained_passes(table, filt):
         with pytest.raises(ValueError, match=str(err)):
             corpus.apply_filter(table, filt)
         return
-    _assert_same_table(corpus.apply_filter(table, filt), want)
+    _assert_same_table(corpus.apply_filter(table, filt).dense(), want)
 
 
 @given(token_corpora(), st.sampled_from(["sentence", "paragraph"]), filter_passes())
@@ -415,7 +456,21 @@ def test_filtered_cells_match_dense_build_then_filter(corpus_and_ids, unit, filt
         with pytest.raises(ValueError, match=str(err)):
             corpus.apply_filter(cells, filt)
         return
-    _assert_same_table(corpus.apply_filter(cells, filt), want)
+    _assert_same_table(corpus.apply_filter(cells, filt).dense(), want)
+
+
+@given(word_tables(), filter_passes())
+@settings(max_examples=200, deadline=None)
+def test_filtered_cells_match_the_dense_fill(table, filt):
+    try:
+        want = _dense_apply_filter(table, filt)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            corpus.apply_filter(table, filt)
+        return
+    cells = corpus.apply_filter(table, filt)
+    assert (np.diff(cells.cells) > 0).all() and (cells.counts > 0).all()
+    _assert_same_table(cells.dense(), want)
 
 
 def test_count_and_filter_never_build_the_unfiltered_table():
@@ -441,6 +496,49 @@ def test_count_and_filter_never_build_the_unfiltered_table():
     assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists), filt)) < bound
     # The dense route exceeds the bound, so the bound can tell them apart.
     assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists).dense(), filt)) > bound
+
+
+def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path):
+    # 2,000 sentences over a 2,000-word vocabulary, ten distinct words each,
+    # all kept: the filtered table is 32 MB dense, its 16 segments 256 kB.
+    n = V = 2000
+    token_lists = [TokenList(i, tuple(f"w{(7 * i + j) % V}" for j in range(10)))
+                   for i in range(n)]
+    cells = corpus.count_cells(token_lists)
+    filt = corpus.CorpusFilter(min_total_count=2)
+    bound = n * V * 8 // 4
+
+    def cells_route():
+        kept = corpus.apply_filter(cells, filt)
+        segments = corpus.aggregate(kept, corpus.Segmentation.from_sizes(
+            "s", kept.row_labels, [n // 16] * 16))
+        with open(tmp_path / "table.csv", "w", encoding="utf-8") as out:
+            out.writelines(corpus.table_csv_rows(kept))
+        return kept.shape, segments
+
+    def dense_route():  # the filter's dense fill, then slice sums and one string
+        kept = _dense_apply_filter(cells, filt)
+        segmentation = corpus.Segmentation.from_sizes("s", kept.row_labels, [n // 16] * 16)
+        segments = _aggregate_slice_sums(kept, segmentation)
+        (tmp_path / "dense.csv").write_text(corpus.table_to_csv(kept), encoding="utf-8")
+        return kept.shape, segments
+
+    def traced_peak(route):
+        tracemalloc.start()
+        try:
+            shape, segments = route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shape == (n, V)
+        assert segments.shape == (16, V)
+        return peak
+
+    assert traced_peak(cells_route) < bound
+    assert (tmp_path / "table.csv").read_bytes() == (
+        corpus.table_to_csv(cells.dense()).encode())
+    # The dense route exceeds the bound, so the bound can tell them apart.
+    assert traced_peak(dense_route) > bound
 
 
 def test_apply_filter_keeps_an_empty_label_at_minimum_length_one():
@@ -476,9 +574,12 @@ def test_cell_counts_round_trip_a_dense_table(table):
 @given(labelled_tables(), st.integers(1, 200))
 @settings(max_examples=300, deadline=None)
 def test_table_to_csv_matches_csv_writer(table, block_bytes):
-    with mock.patch.object(corpus, "_CSV_BLOCK_BYTES", block_bytes):  # many row blocks
-        assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
-    assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
+    # Dense or as cells; blocks of a few rows start mid-table and hold all-zero rows.
+    want = _reference_table_to_csv(table)
+    for source in (table, corpus.CellCounts.of(table)):
+        with mock.patch.object(corpus, "_CSV_BLOCK_BYTES", block_bytes):  # many row blocks
+            assert corpus.table_to_csv(source) == want
+        assert corpus.table_to_csv(source) == want
 
 
 def test_table_to_csv_edge_shapes_match_csv_writer():
@@ -490,3 +591,4 @@ def test_table_to_csv_edge_shapes_match_csv_writer():
     ]
     for table in tables:
         assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
+        assert corpus.table_to_csv(corpus.CellCounts.of(table)) == _reference_table_to_csv(table)

@@ -386,6 +386,51 @@ def test_segment_file_duplicate_label_is_a_stage_error(mini):
         pipeline.run_pipeline(config, out_dir=root / "out")
 
 
+# A paragraph whose words the mini config's stopwords and thresholds all remove.
+FILTERED_PARAGRAPH = "The end came at night.\n"
+
+
+def _aggregate_error(root, config_path):
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(pipeline.parse_config(config_path), out_dir=root / "out")
+    assert excinfo.value.stage == "aggregate"
+    assert not (root / "out" / "table_segments.csv").exists()
+    return str(excinfo.value)
+
+
+def test_trailing_segment_the_filter_empties_is_a_stage_error(mini):
+    root, write_config = mini
+    (root / "story.txt").write_text(STORY + "\n" + FILTERED_PARAGRAPH)
+    config = write_config(segment_sizes="1,1,1,1")
+    assert _aggregate_error(root, config) == \
+        "[aggregate] segment 4 of 4 has no rows after filtering"
+
+
+def test_segments_past_the_last_paragraph_are_a_stage_error(mini):
+    root, write_config = mini
+    config = write_config(segment_sizes="1,1,1,1,5")
+    assert _aggregate_error(root, config) == \
+        "[aggregate] segment 4 of 5 has no rows after filtering"
+
+
+def test_middle_segment_the_filter_empties_is_a_stage_error(mini):
+    root, write_config = mini
+    first, rest = STORY.split("\n\n", 1)
+    (root / "story.txt").write_text(f"{first}\n\n{FILTERED_PARAGRAPH}\n{rest}")
+    assert _aggregate_error(root, write_config(segment_sizes="1,1,1,1")) == \
+        "[aggregate] segment 2 of 4 has no rows after filtering"
+    # The same segment declared by a segment file: sentence 4 is the emptied one.
+    seg_file = root / "seg.csv"
+    seg_file.write_text("".join(f"{i},{1 if i < 4 else 2 if i == 4 else 3}\n"
+                                for i in range(1, 11)))
+    assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
+        "[aggregate] segment 2 of 3 has no rows after filtering"
+    # A file whose own ids skip one is rejected as such.
+    seg_file.write_text("".join(f"{i},{1 if i < 4 else 3}\n" for i in range(1, 11)))
+    assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
+        f"[aggregate] {seg_file}: segment ids must be 1..k, got 2 ids from 1 to 3"
+
+
 def test_paragraph_unit_runs_end_to_end(mini):
     root, write_config = mini
     config = pipeline.parse_config(write_config(unit="paragraph", cut=2))
