@@ -228,8 +228,10 @@ def _remove_artifacts(directory: Path) -> None:
         (directory / filename).unlink(missing_ok=True)
 
 
-def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> tuple[dict[str, int], int]:
-    """The given rows' segment ids, and the number of segments the file declares."""
+def _read_segment_file(path: Path, built_labels: tuple[str, ...],
+                       row_labels: tuple[str, ...]) -> tuple[dict[str, int], int]:
+    """The given rows' segment ids, and the number of segments the file gives
+    the built table's rows.  Labels that name no built row are ignored."""
     assignment = {}
     for lineno, line in lines(path):
         label, _, segment = line.partition(",")
@@ -241,7 +243,8 @@ def _read_segment_file(path: Path, row_labels: tuple[str, ...]) -> tuple[dict[st
         if label in assignment:
             raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
         assignment[label] = segment
-    ids = sorted(set(assignment.values()))
+    built = set(built_labels)
+    ids = sorted({segment for label, segment in assignment.items() if label in built})
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError(f"{path}: segment ids must be 1..k, got {len(ids)} ids "
                          f"from {ids[0]} to {ids[-1]}")
@@ -254,7 +257,7 @@ def _segmentation_for(config: PipelineConfig,
     """The segmentation of the table's rows, and the number of segments declared."""
     labels = result.table.row_labels
     if config.segment_file is not None:
-        assignment, k = _read_segment_file(config.segment_file, labels)
+        assignment, k = _read_segment_file(config.segment_file, result.cells.row_labels, labels)
         return corpus.Segmentation("file", assignment), k
     sizes = config.segment_sizes
     if config.segment_by == "row":

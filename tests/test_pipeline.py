@@ -425,6 +425,11 @@ def test_middle_segment_the_filter_empties_is_a_stage_error(mini):
                                 for i in range(1, 11)))
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         "[aggregate] segment 2 of 3 has no rows after filtering"
+    # A label that names no sentence declares no segment.
+    with seg_file.open("a") as f:
+        f.write("99,4\n")
+    assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
+        "[aggregate] segment 2 of 3 has no rows after filtering"
     # A file whose own ids skip one is rejected as such.
     seg_file.write_text("".join(f"{i},{1 if i < 4 else 3}\n" for i in range(1, 11)))
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
