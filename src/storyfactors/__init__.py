@@ -7,7 +7,29 @@ contiguity-constrained hierarchical clustering of the factor-space
 points (`clustering`), v-test description of the resulting clusters
 (`characterize`), static SVG output (`plots`), and a config-driven batch
 pipeline with a CLI (`pipeline`, `cli`).
+
+Importing the package before numpy runs BLAS on one thread, unless the
+user has set one of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``: a second thread buys no wall time at this library's
+table sizes, spins idle between calls, and changes the last bits of the
+CA output with the core count.
 """
+
+import importlib
+import os
+import sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# BLAS reads these once, as numpy loads it; unset them again afterwards so
+# that os.environ, and the environment of any subprocess, stay the user's.
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        importlib.import_module("numpy")
+    finally:
+        for name in _BLAS_THREAD_VARS:
+            os.environ.pop(name, None)
 
 from .ca import (
     CAModel,

@@ -230,8 +230,11 @@ def _remove_artifacts(directory: Path) -> None:
 
 def _read_segment_file(path: Path, built_labels: tuple[str, ...],
                        row_labels: tuple[str, ...]) -> tuple[dict[str, int], int]:
-    """The given rows' segment ids, and the number of segments the file gives
-    the built table's rows.  Labels that name no built row are ignored."""
+    """The given rows' segment ids, and the number of segments the file gives.
+
+    Every label must name a row of the built table; rows that the filter
+    emptied still count, so their labels may stay in the file."""
+    built = set(built_labels)
     assignment = {}
     for lineno, line in lines(path):
         label, _, segment = line.partition(",")
@@ -242,9 +245,10 @@ def _read_segment_file(path: Path, built_labels: tuple[str, ...],
             raise ValueError(f"{path}:{lineno}: expected 'label,segment', got {line!r}") from None
         if label in assignment:
             raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
+        if label not in built:
+            raise ValueError(f"{path}:{lineno}: label {label!r} names no row of the built table")
         assignment[label] = segment
-    built = set(built_labels)
-    ids = sorted({segment for label, segment in assignment.items() if label in built})
+    ids = sorted(set(assignment.values()))
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError(f"{path}: segment ids must be 1..k, got {len(ids)} ids "
                          f"from {ids[0]} to {ids[-1]}")

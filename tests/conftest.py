@@ -2,10 +2,11 @@
 
 from pathlib import Path
 
+# Before numpy: the package pins BLAS to one thread only if it loads numpy first.
+from storyfactors import corpus, textprep  # isort: skip
+
 import numpy as np
 import pytest
-
-from storyfactors import corpus, textprep
 
 DATA = Path(textprep.__file__).parent / "data"
 

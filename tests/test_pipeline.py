@@ -425,15 +425,29 @@ def test_middle_segment_the_filter_empties_is_a_stage_error(mini):
                                 for i in range(1, 11)))
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         "[aggregate] segment 2 of 3 has no rows after filtering"
-    # A label that names no sentence declares no segment.
-    with seg_file.open("a") as f:
-        f.write("99,4\n")
-    assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
-        "[aggregate] segment 2 of 3 has no rows after filtering"
     # A file whose own ids skip one is rejected as such.
     seg_file.write_text("".join(f"{i},{1 if i < 4 else 3}\n" for i in range(1, 11)))
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         f"[aggregate] {seg_file}: segment ids must be 1..k, got 2 ids from 1 to 3"
+
+
+def test_segment_file_label_must_name_a_built_row(mini):
+    root, write_config = mini
+    (root / "story.txt").write_text(STORY + "\n" + FILTERED_PARAGRAPH)
+    # Sentence 10 is built, then emptied by the filter: its label is allowed.
+    sentences = "".join(f"{i},{min((i - 1) // 3 + 1, 3)}\n" for i in range(1, 11))
+    seg_file = root / "seg.csv"
+    seg_file.write_text(sentences)
+    config = write_config(segment_file="seg.csv")
+    result = pipeline.run_pipeline(pipeline.parse_config(config), out_dir=root / "ok",
+                                   upto="aggregate")
+    assert result.cells.row_labels[-1] == "10"
+    assert result.summary[-1].startswith("aggregate: 3 segments")
+    for bad in ("99,3", "sentence 4,2"):
+        seg_file.write_text(f"{sentences}# typo\n{bad}\n")
+        label = bad.partition(",")[0]
+        assert _aggregate_error(root, config) == \
+            f"[aggregate] {seg_file}:12: label {label!r} names no row of the built table"
 
 
 def test_paragraph_unit_runs_end_to_end(mini):

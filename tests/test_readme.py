@@ -5,6 +5,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 from storyfactors import pipeline
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -36,6 +38,7 @@ def test_readme_config_table_matches_pipeline_config():
             assert pipeline._CONVERSIONS[key](text) == field.default, key
 
 
+@pytest.mark.filterwarnings("error")
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys, data_dir):
     (code,) = re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
     shutil.copy(data_dir / "purloined_letter.txt", tmp_path / "story.txt")
