@@ -53,7 +53,6 @@ from .corpus import (
     CellCounts,
     ContingencyTable,
     CorpusFilter,
-    Segmentation,
     aggregate,
     apply_filter,
     count_cells,
@@ -75,7 +74,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "PointCloud",
-    "Segmentation",
     "SentenceRecord",
     "StageError",
     "TokenList",

@@ -82,12 +82,8 @@ def characterize_clusters(
     table: ContingencyTable,
     partition: Partition,
     alpha: float,
-    include_all: bool = False,
 ) -> VTestReport:
-    """v-test every (cluster, word) pair; keep entries with p < alpha.
-
-    ``include_all`` keeps the full report regardless of significance.
-    """
+    """v-test every (cluster, word) pair; keep entries with p < alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if set(partition.assignment) != set(table.row_labels):
@@ -105,7 +101,7 @@ def characterize_clusters(
         v_list, p_list, cluster_means = _v_scores(
             values, cluster_ids == cid, cid, global_means, variances)
         for j, word in enumerate(table.col_labels):
-            if include_all or p_list[j] < alpha:
+            if p_list[j] < alpha:
                 entries.append(VTestEntry(cid, word, v_list[j], p_list[j],
                                           float(cluster_means[j]), float(global_means[j])))
     entries.sort(key=lambda e: (e.cluster_id, e.p, e.word))

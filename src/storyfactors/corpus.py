@@ -6,12 +6,13 @@ first appearance.  A table is kept as a :class:`CellCounts`, its
 non-zero cells only, from counting until something needs it dense:
 :func:`count_cells` counts tokens into cells, :func:`apply_filter`
 returns the kept cells, :func:`aggregate` sums cells into a dense
-segments x words :class:`ContingencyTable`, and :func:`table_csv_rows`
-formats one row block at a time.  :meth:`CellCounts.dense` gives the
-full table.  Filtering is a pipeline of passes (stopwords, word length,
-lexicon, frequency thresholds, empty-row removal) run by one kernel over
-the cells, whether :func:`apply_filter` receives cells or a dense table,
-and is idempotent: applying the same filter twice changes nothing.
+segments x words :class:`ContingencyTable` given one segment id per row
+(a segment is a run of rows), and :func:`table_csv_rows` formats one row
+block at a time.  :meth:`CellCounts.dense` gives the full table.
+Filtering is a pipeline of passes (stopwords, word length, lexicon,
+frequency thresholds, empty-row removal) run by one kernel over the
+cells, whether :func:`apply_filter` receives cells or a dense table, and
+is idempotent: applying the same filter twice changes nothing.
 """
 
 from __future__ import annotations
@@ -124,35 +125,6 @@ class CorpusFilter:
     lexicon: frozenset[str] | None = None
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """Assignment of chronologically ordered units to contiguous segments.
-
-    ``assignment`` maps every unit label to a 1-based segment id; segment
-    ids must form contiguous runs 1..k in unit order.
-    """
-
-    name: str
-    assignment: dict[str, int]
-
-    def segments(self) -> list[int]:
-        return sorted(set(self.assignment.values()))
-
-    @classmethod
-    def from_sizes(cls, name: str, labels: Sequence[str], sizes: Sequence[int]) -> "Segmentation":
-        if sum(sizes) != len(labels):
-            raise ValueError(f"segment sizes sum to {sum(sizes)}, expected {len(labels)}")
-        if any(size <= 0 for size in sizes):
-            raise ValueError("segment sizes must be positive")
-        assignment: dict[str, int] = {}
-        cursor = 0
-        for segment_id, size in enumerate(sizes, start=1):
-            for label in labels[cursor : cursor + size]:
-                assignment[label] = segment_id
-            cursor += size
-        return cls(name, assignment)
-
-
 def count_cells(
     token_lists: Iterable[TokenList],
     unit: str = "sentence",
@@ -245,32 +217,33 @@ def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> Ce
                       _frozen(new_row[rows] * m + new_col[cols]), _frozen(table.counts[kept]))
 
 
-def aggregate(table: ContingencyTable | CellCounts, segmentation: Segmentation) -> ContingencyTable:
+def aggregate(table: ContingencyTable | CellCounts,
+              segment_ids: Sequence[int] | np.ndarray) -> ContingencyTable:
     """Sum consecutive row blocks into one row per segment.
 
-    Every row label must be assigned; segment ids must be contiguous runs
-    in row order.  Column labels and column totals are unchanged.  The
-    sums are taken over the non-zero cells, so only the segments x words
-    result is dense.
+    ``segment_ids`` holds one 1-based segment id per row, in row order;
+    the ids start at 1 and rise by at most one from row to row, so the
+    segments are the runs of equal ids and are labelled ``"1".."k"``.
+    Column labels and column totals are unchanged.  The sums are taken
+    over the non-zero cells, so only the segments x words result is dense.
     """
     if isinstance(table, ContingencyTable):
         table = CellCounts.of(table)
-    segment_ids = []
-    for label in table.row_labels:
-        if label not in segmentation.assignment:
-            raise ValueError(f"row {label!r} missing from segmentation {segmentation.name!r}")
-        segment_ids.append(segmentation.assignment[label])
-    order = segmentation.segments()
-    if order != list(range(1, len(order) + 1)):
-        raise ValueError("segment ids must be 1..k")
     ids = np.asarray(segment_ids, dtype=np.int64)
-    if (np.diff(ids) < 0).any():
-        raise ValueError(f"segmentation {segmentation.name!r} is not contiguous in row order")
+    if ids.shape != (table.shape[0],):
+        raise ValueError(f"{ids.size} segment ids for {table.shape[0]} rows")
+    steps = np.diff(ids)
+    if (steps < 0).any():
+        raise ValueError("segment ids are not contiguous in row order")
+    if (ids.size and ids[0] != 1) or (steps > 1).any():
+        raise ValueError("segment ids must be 1..k")
+    k = int(ids[-1]) if ids.size else 0
     m = len(table.col_labels)
     rows, cols = np.divmod(table.cells, m)
-    counts = np.zeros((len(order), m), dtype=np.int64)
+    counts = np.zeros((k, m), dtype=np.int64)
     np.add.at(counts.reshape(-1), (ids[rows] - 1) * m + cols, table.counts)
-    return ContingencyTable(tuple(str(sid) for sid in order), table.col_labels, _frozen(counts))
+    return ContingencyTable(tuple(str(sid) for sid in range(1, k + 1)), table.col_labels,
+                            _frozen(counts))
 
 
 def load_word_list(path: str | Path) -> frozenset[str]:

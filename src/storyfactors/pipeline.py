@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import ca, characterize, clustering, corpus, plots, textprep
 from ._formats import lines
 
@@ -229,7 +231,7 @@ def _remove_artifacts(directory: Path) -> None:
 
 
 def _read_segment_file(path: Path, built_labels: tuple[str, ...],
-                       row_labels: tuple[str, ...]) -> tuple[dict[str, int], int]:
+                       row_labels: tuple[str, ...]) -> tuple[np.ndarray, int]:
     """The given rows' segment ids, and the number of segments the file gives.
 
     Every label must name a row of the built table; rows that the filter
@@ -252,35 +254,36 @@ def _read_segment_file(path: Path, built_labels: tuple[str, ...],
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError(f"{path}: segment ids must be 1..k, got {len(ids)} ids "
                          f"from {ids[0]} to {ids[-1]}")
-    # Rows the file misses are reported by corpus.aggregate.
-    return {label: assignment[label] for label in row_labels if label in assignment}, len(ids)
+    missing = [label for label in row_labels if label not in assignment]
+    if missing:
+        raise ValueError(f"{path}: row {missing[0]!r} has no segment")
+    return np.array([assignment[label] for label in row_labels], dtype=np.int64), len(ids)
 
 
-def _segmentation_for(config: PipelineConfig,
-                      result: PipelineResult) -> tuple[corpus.Segmentation, int]:
-    """The segmentation of the table's rows, and the number of segments declared."""
+def _segment_ids(config: PipelineConfig, result: PipelineResult) -> tuple[np.ndarray, int]:
+    """One segment id per row of the table, and the number of segments declared.
+
+    Segment sizes count table rows or paragraphs; a row's id is the first
+    segment whose cumulative size reaches the row's position or paragraph."""
     labels = result.table.row_labels
     if config.segment_file is not None:
-        assignment, k = _read_segment_file(config.segment_file, result.cells.row_labels, labels)
-        return corpus.Segmentation("file", assignment), k
-    sizes = config.segment_sizes
+        return _read_segment_file(config.segment_file, result.cells.row_labels, labels)
+    ends = np.cumsum(config.segment_sizes, dtype=object)  # exact: int64 sums can wrap
+    covered = ends[-1]
     if config.segment_by == "row":
-        return corpus.Segmentation.from_sizes("rows", labels, sizes), len(sizes)
-    # segment_by paragraph: rows are mapped through their paragraph id.
-    if config.unit == "paragraph":
-        paragraph_of = {label: int(label) for label in labels}
+        if covered != len(labels):
+            raise ValueError(f"segment sizes sum to {covered}, expected {len(labels)}")
+        units = np.arange(1, len(labels) + 1)
     else:
-        paragraph_of = {str(r.sentence_id): r.paragraph_id for r in result.sentences}
-    covered = sum(sizes)
-    top = max(paragraph_of[label] for label in labels)
-    if covered < top:
-        raise ValueError(
-            f"segment sizes cover paragraphs 1..{covered} but the "
-            f"table reaches paragraph {top}")
-    by_paragraph = corpus.Segmentation.from_sizes(
-        "paragraphs", range(1, covered + 1), sizes).assignment
-    return corpus.Segmentation(
-        "paragraphs", {label: by_paragraph[paragraph_of[label]] for label in labels}), len(sizes)
+        if config.unit == "paragraph":
+            units = np.array([int(label) for label in labels])
+        else:
+            paragraph_of = {str(r.sentence_id): r.paragraph_id for r in result.sentences}
+            units = np.array([paragraph_of[label] for label in labels])
+        if covered < units.max():
+            raise ValueError(f"segment sizes cover paragraphs 1..{covered} but the "
+                             f"table reaches paragraph {units.max()}")
+    return np.searchsorted(ends, units) + 1, len(ends)
 
 
 # Stages.  Each reads and fills ``result`` and returns its summary line, or
@@ -338,11 +341,11 @@ def _filter(config: PipelineConfig, result: PipelineResult) -> str:
 def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
     if config.segment_sizes is None and config.segment_file is None:
         return None
-    segmentation, k = _segmentation_for(config, result)
-    empty = set(range(1, k + 1)).difference(segmentation.assignment.values())
-    if empty:
-        raise ValueError(f"segment {min(empty)} of {k} has no rows after filtering")
-    table = result.table = corpus.aggregate(result.table, segmentation)
+    ids, k = _segment_ids(config, result)
+    empty = np.setdiff1d(np.arange(1, k + 1), ids)
+    if empty.size:
+        raise ValueError(f"segment {empty[0]} of {k} has no rows after filtering")
+    table = result.table = corpus.aggregate(result.table, ids)
     _write(result, "segments", corpus.table_to_csv(table))
     return f"aggregate: {table.shape[0]} segments"
 

@@ -115,11 +115,11 @@ def test_criterion_05_noun_pipeline(t5, noun_model, capsys):
 def test_criterion_06_section_inertia_profile(poe, t3, capsys):
     paragraph_of = {str(r.sentence_id): r.paragraph_id for r in poe["records"]}
     edges = np.cumsum(pipeline._parse_ranges(RANGES))
-    assignment = {
-        label: int(np.searchsorted(edges, paragraph_of[label])) + 1
+    segment_ids = [
+        int(np.searchsorted(edges, paragraph_of[label])) + 1
         for label in t3.row_labels
-    }
-    sections = corpus.aggregate(t3, corpus.Segmentation("sections", assignment))
+    ]
+    sections = corpus.aggregate(t3, segment_ids)
     model = ca.fit_ca(sections)
     cumulative = ca.cumulative_inertia(model)
     deviation = (float(np.abs(cumulative - SECTION_TARGET).max())

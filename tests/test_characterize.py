@@ -83,14 +83,11 @@ def test_two_cluster_v_signs_are_opposite():
     table = ContingencyTable(
         tuple(str(i) for i in range(12)), tuple(f"w{j}" for j in range(6)), counts
     )
-    report = characterize.characterize_clusters(
-        table, _split_partition(12, 5), alpha=0.5, include_all=True
-    )
-    by_word = {}
-    for entry in report.entries:
-        by_word.setdefault(entry.word, {})[entry.cluster_id] = entry.v
-    for word, vs in by_word.items():
-        assert vs[1] * vs[2] <= 0.0
+    partition = _split_partition(12, 5)
+    for j in range(len(table.col_labels)):
+        v1, _ = characterize.v_test(table.counts[:, j], partition, 1)
+        v2, _ = characterize.v_test(table.counts[:, j], partition, 2)
+        assert v1 * v2 <= 0.0
 
 
 def test_null_rate_tracks_alpha():
@@ -116,12 +113,13 @@ def test_report_sorted_and_filtered_by_alpha():
     assert all(e.p < 0.2 for e in report.entries)
     keys = [(e.cluster_id, e.p, e.word) for e in report.entries]
     assert keys == sorted(keys)
-
-    everything = characterize.characterize_clusters(
-        table, partition, alpha=0.2, include_all=True
-    )
-    assert len(everything.entries) == 2 * 8
-    assert len(report.entries) <= len(everything.entries)
+    significant = {
+        (c, word)
+        for c in (1, 2)
+        for j, word in enumerate(table.col_labels)
+        if characterize.v_test(table.counts[:, j], partition, c)[1] < 0.2
+    }
+    assert {(e.cluster_id, e.word) for e in report.entries} == significant
 
 
 def test_characterize_validation():

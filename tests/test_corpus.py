@@ -191,64 +191,50 @@ def test_aggregate_preserves_totals(table, k):
     k = min(k, n)
     edges = sorted(np.random.default_rng(k * n).choice(range(1, n), size=k - 1, replace=False)) if k > 1 else []
     sizes = np.diff([0, *edges, n]).tolist()
-    seg = corpus.Segmentation.from_sizes("s", table.row_labels, sizes)
-    out = corpus.aggregate(table, seg)
+    out = corpus.aggregate(table, np.repeat(np.arange(1, k + 1), sizes))
     assert out.shape == (k, len(table.col_labels))
     assert out.col_labels == table.col_labels
     assert out.total == table.total
     assert np.array_equal(out.column_totals(), table.column_totals())
 
 
-def _aggregate_row_by_row(table, segmentation):
+def _aggregate_row_by_row(table, segment_ids):
     """The per-row accumulation ``corpus.aggregate`` used before reduceat."""
-    counts = np.zeros((len(segmentation.segments()), len(table.col_labels)), dtype=np.int64)
-    for row, label in enumerate(table.row_labels):
-        counts[segmentation.assignment[label] - 1] += table.counts[row]
+    counts = np.zeros((max(segment_ids), len(table.col_labels)), dtype=np.int64)
+    for row, segment_id in enumerate(segment_ids):
+        counts[segment_id - 1] += table.counts[row]
     return counts
 
 
 @given(tables(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_aggregate_equals_row_by_row_sums(table, data):
-    # Each row's id steps 0, 1 or 2 above the previous one; a skipped id,
-    # and up to two ids after the last row, belong to labels outside the
-    # table, which gives segments with no row.
-    steps = data.draw(st.lists(st.integers(0, 2), min_size=len(table.row_labels),
-                               max_size=len(table.row_labels)))
-    ids = np.cumsum(steps) + 1
-    top = int(ids[-1]) + data.draw(st.integers(0, 2))
-    assignment = dict(zip(table.row_labels, ids.tolist()))
-    assignment.update((f"gap{sid}", sid) for sid in sorted(set(range(1, top + 1)) - set(ids.tolist())))
-    seg = corpus.Segmentation("s", assignment)
+    # The first row is in segment 1 and each later row's id steps 0 or 1
+    # above the previous one; a segment with no row cannot be expressed.
+    steps = data.draw(st.lists(st.integers(0, 1), min_size=len(table.row_labels) - 1,
+                               max_size=len(table.row_labels) - 1))
+    ids = np.cumsum([1, *steps]).tolist()
     for source in (table, corpus.CellCounts.of(table)):
-        out = corpus.aggregate(source, seg)
-        assert out.row_labels == tuple(str(sid) for sid in range(1, top + 1))
+        out = corpus.aggregate(source, ids)
+        assert out.row_labels == tuple(str(sid) for sid in range(1, ids[-1] + 1))
         assert out.counts.dtype == np.int64
-        assert np.array_equal(out.counts, _aggregate_row_by_row(table, seg))
-        assert np.array_equal(out.counts, _aggregate_slice_sums(table, seg))
+        assert np.array_equal(out.counts, _aggregate_row_by_row(table, ids))
+        assert np.array_equal(out.counts, _aggregate_slice_sums(table, ids))
 
 
 def test_aggregate_rejects_non_contiguous_segments():
     table = _demo_table()
-    seg = corpus.Segmentation("bad", {"1": 1, "2": 2, "3": 1, "4": 2})
-    with pytest.raises(ValueError, match="contiguous"):
-        corpus.aggregate(table, seg)
+    with pytest.raises(ValueError, match="not contiguous in row order"):
+        corpus.aggregate(table, [1, 2, 1, 2])
 
 
 def test_aggregate_rejects_missing_rows_and_bad_ids():
     table = _demo_table()
-    with pytest.raises(ValueError, match="missing from segmentation"):
-        corpus.aggregate(table, corpus.Segmentation("s", {"1": 1}))
-    gap = corpus.Segmentation("s", {"1": 1, "2": 1, "3": 3, "4": 3})
-    with pytest.raises(ValueError, match="1..k"):
-        corpus.aggregate(table, gap)
-
-
-def test_segmentation_from_sizes_validates():
-    with pytest.raises(ValueError, match="sum to"):
-        corpus.Segmentation.from_sizes("s", ("a", "b"), [3])
-    with pytest.raises(ValueError, match="positive"):
-        corpus.Segmentation.from_sizes("s", ("a", "b"), [2, 0])
+    with pytest.raises(ValueError, match="^1 segment ids for 4 rows$"):
+        corpus.aggregate(table, [1])
+    for bad in ([1, 1, 3, 3], [2, 2, 3, 3], [0, 1, 1, 2]):
+        with pytest.raises(ValueError, match="^segment ids must be 1..k$"):
+            corpus.aggregate(table, bad)
 
 
 def test_load_word_list_strips_comments(tmp_path):
@@ -352,10 +338,10 @@ def _dense_apply_filter(table, filt):
         tuple(label for label, ok in zip(table.col_labels, keep) if ok), counts)
 
 
-def _aggregate_slice_sums(table, segmentation):
+def _aggregate_slice_sums(table, segment_ids):
     """``corpus.aggregate`` when it summed each run of equal ids as one dense slice."""
-    ids = np.array([segmentation.assignment[label] for label in table.row_labels])
-    counts = np.zeros((len(segmentation.segments()), len(table.col_labels)), dtype=np.int64)
+    ids = np.asarray(segment_ids)
+    counts = np.zeros((ids[-1], len(table.col_labels)), dtype=np.int64)
     starts = np.flatnonzero(np.diff(ids, prepend=0)).tolist()
     for start, end in zip(starts, [*starts[1:], len(ids)]):
         counts[ids[start] - 1] = table.counts[start:end].sum(axis=0)
@@ -496,19 +482,18 @@ def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path)
     cells = corpus.count_cells(token_lists)
     filt = corpus.CorpusFilter(min_total_count=2)
     bound = n * V * 8 // 4
+    segment_ids = np.repeat(np.arange(1, 17), n // 16)
 
     def cells_route():
         kept = corpus.apply_filter(cells, filt)
-        segments = corpus.aggregate(kept, corpus.Segmentation.from_sizes(
-            "s", kept.row_labels, [n // 16] * 16))
+        segments = corpus.aggregate(kept, segment_ids)
         with open(tmp_path / "table.csv", "w", encoding="utf-8") as out:
             out.writelines(corpus.table_csv_rows(kept))
         return kept.shape, segments
 
     def dense_route():  # the filter's dense fill, then slice sums and one string
         kept = _dense_apply_filter(cells, filt)
-        segmentation = corpus.Segmentation.from_sizes("s", kept.row_labels, [n // 16] * 16)
-        segments = _aggregate_slice_sums(kept, segmentation)
+        segments = _aggregate_slice_sums(kept, segment_ids)
         (tmp_path / "dense.csv").write_text(corpus.table_to_csv(kept), encoding="utf-8")
         return kept.shape, segments
 

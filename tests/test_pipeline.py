@@ -4,6 +4,7 @@ import hashlib
 import os
 import re
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -448,6 +449,62 @@ def test_segment_file_label_must_name_a_built_row(mini):
         label = bad.partition(",")[0]
         assert _aggregate_error(root, config) == \
             f"[aggregate] {seg_file}:12: label {label!r} names no row of the built table"
+
+
+def test_segment_file_must_give_every_kept_row_a_segment(mini):
+    root, write_config = mini
+    seg_file = root / "seg.csv"
+    seg_file.write_text("".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10) if i != 5))
+    assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
+        f"[aggregate] {seg_file}: row '5' has no segment"
+
+
+def test_segment_file_ids_must_not_fall_in_row_order(mini):
+    root, write_config = mini
+    seg_file = root / "seg.csv"
+    seg_file.write_text("".join(f"{i},{(1, 2, 1)[(i - 1) // 3]}\n" for i in range(1, 10)))
+    assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
+        "[aggregate] segment ids are not contiguous in row order"
+
+
+def test_segment_sizes_must_sum_to_the_rows_and_be_positive(mini):
+    root, write_config = mini
+    assert _aggregate_error(root, write_config(segment_sizes="4,4", segment_by="row")) == \
+        "[aggregate] segment sizes sum to 8, expected 9"
+    with pytest.raises(ValueError, match="^segment sizes must be positive$"):
+        pipeline.parse_config(write_config(segment_sizes="9,0", segment_by="row"))
+
+
+def test_segment_sizes_are_summed_without_overflow(mini):
+    # Three sizes of 2**63 - 1 wrap an int64 running total to a negative.
+    root, write_config = mini
+    huge = ",".join([str(2**63 - 1)] * 3)
+    assert _aggregate_error(root, write_config(segment_sizes=f"1,1,1,{huge}")) == \
+        "[aggregate] segment 4 of 6 has no rows after filtering"
+    assert _aggregate_error(root, write_config(segment_sizes=f"4,5,{huge}", segment_by="row")) == \
+        f"[aggregate] segment sizes sum to {9 + 3 * (2**63 - 1)}, expected 9"
+
+def test_segment_range_far_past_the_text_costs_no_memory_per_paragraph(data_dir, tmp_path):
+    # The bundled text has 123 paragraphs; a last range that declares
+    # 200,000 must not cost memory that grows with the declared paragraphs.
+    template = (data_dir / "configs" / "sections.cfg").read_text(encoding="utf-8")
+    assert "118-123\n" in template
+
+    def traced_peak(last_range):
+        config = tmp_path / f"{last_range}.cfg"
+        config.write_text(template.replace("../", f"{data_dir}/")
+                          .replace("118-123\n", f"{last_range}\n"), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            result = pipeline.run_pipeline(pipeline.parse_config(config),
+                                           out_dir=tmp_path / last_range, upto="aggregate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.summary[-1] == "aggregate: 8 segments"
+        return peak
+
+    assert traced_peak("118-200000") < 2 * traced_peak("118-123")
 
 
 def test_paragraph_unit_runs_end_to_end(mini):
