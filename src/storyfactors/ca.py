@@ -83,7 +83,7 @@ def fit_ca(table: ContingencyTable) -> CAModel:
     key sorts lower), so fitting a table and fitting its transpose give
     exactly swapped row and column outputs, bit for bit.
     """
-    if not isinstance(table, ContingencyTable):  # cells, as apply_filter returns them
+    if not isinstance(table, ContingencyTable):  # cells, as the corpus functions return them
         raise TypeError(f"fit_ca needs a ContingencyTable, got {type(table).__name__}; "
                         "call its .dense()")
     counts = table.counts

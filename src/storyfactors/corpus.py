@@ -2,17 +2,17 @@
 
 Tables are integer count tables with ordered labels: rows follow the
 chronology of the text units, columns are the vocabulary in order of
-first appearance.  A table is kept as a :class:`CellCounts`, its
-non-zero cells only, from counting until something needs it dense:
-:func:`count_cells` counts tokens into cells, :func:`apply_filter`
-returns the kept cells, :func:`aggregate` sums cells into a dense
-segments x words :class:`ContingencyTable` given one segment id per row
-(a segment is a run of rows), and :func:`table_csv_rows` formats one row
-block at a time.  :meth:`CellCounts.dense` gives the full table.
-Filtering is a pipeline of passes (stopwords, word length, lexicon,
-frequency thresholds, empty-row removal) run by one kernel over the
-cells, whether :func:`apply_filter` receives cells or a dense table, and
-is idempotent: applying the same filter twice changes nothing.
+first appearance.  Every table this module computes is a
+:class:`CellCounts`, its non-zero cells only: :func:`count_cells` counts
+tokens into cells, :func:`apply_filter` returns the kept cells,
+:func:`aggregate` sums cells into one row per segment given one segment
+id per row (a segment is a run of rows), and :func:`table_csv_rows`
+formats them one row block at a time.  Each also takes a dense
+:class:`ContingencyTable`, reduced to its cells on entry, and
+:meth:`CellCounts.dense` is the one full allocation.  Filtering is a pipeline of passes (stopwords, word
+length, lexicon, frequency thresholds, empty-row removal) run by one
+kernel over the cells, and is idempotent: applying the same filter twice
+changes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,50 +125,36 @@ class CorpusFilter:
     lexicon: frozenset[str] | None = None
 
 
-def count_cells(
-    token_lists: Iterable[TokenList],
-    unit: str = "sentence",
-    paragraph_ids: Mapping[int, int] | None = None,
-) -> CellCounts:
+def count_cells(token_lists: Iterable[TokenList],
+                row_ids: Sequence[int] | None = None) -> CellCounts:
     """Cross-tabulate tokens into the non-zero cells of a documents-by-words table.
 
-    ``unit`` selects the row documents: ``"sentence"`` keeps one row per
-    sentence (including empty ones), ``"paragraph"`` sums sentences into
-    their paragraphs via ``paragraph_ids`` (sentence id -> paragraph id).
-    Columns are the distinct tokens in order of first appearance.  Memory
-    grows with the number of tokens, never with rows times vocabulary.
+    ``row_ids[i]`` is the row that token list ``i`` counts into: lists
+    with equal ids share one row, and rows come in order of first
+    appearance, labelled ``str(id)``.  The default is each list's sentence
+    id, so every sentence is a row (empty ones included).  Columns are the
+    distinct tokens in order of first appearance.  Memory grows with the
+    number of tokens, never with rows times vocabulary.
     """
     token_lists = list(token_lists)
-    if unit not in ("sentence", "paragraph"):
-        raise ValueError(f"unknown unit {unit!r}")
-    if unit == "paragraph":
-        if paragraph_ids is None:
-            raise ValueError("paragraph unit requires sentence-to-paragraph ids")
-        missing = [t.sentence_id for t in token_lists if t.sentence_id not in paragraph_ids]
-        if missing:
-            raise ValueError(f"no paragraph id for sentence {missing[0]}")
+    if row_ids is None:
+        row_ids = [tl.sentence_id for tl in token_lists]
+    if len(row_ids) != len(token_lists):
+        raise ValueError(f"{len(row_ids)} row ids for {len(token_lists)} token lists")
 
     col_index: dict[str, int] = {}
     cols = [col_index.setdefault(token, len(col_index))
             for tl in token_lists for token in tl.tokens]
     if not col_index:
         raise ValueError("empty corpus: no tokens in any document")
-
-    if unit == "sentence":
-        doc_rows = list(range(len(token_lists)))
-        row_labels = tuple(str(tl.sentence_id) for tl in token_lists)
-    else:
-        assert paragraph_ids is not None
-        row_of: dict[int, int] = {}  # paragraph id -> row, in first-appearance order
-        doc_rows = [row_of.setdefault(paragraph_ids[tl.sentence_id], len(row_of))
-                    for tl in token_lists]
-        row_labels = tuple(str(pid) for pid in row_of)
+    row_of: dict[int, int] = {}  # row id -> row, in first-appearance order
+    doc_rows = [row_of.setdefault(row_id, len(row_of)) for row_id in row_ids]
 
     V = len(col_index)
     rows = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
     cells, counts = np.unique(rows * V + np.array(cols, dtype=np.int64), return_counts=True)
-    return CellCounts(row_labels, tuple(col_index), _frozen(cells),
-                      _frozen(counts.astype(np.int64, copy=False)))
+    return CellCounts(tuple(str(row_id) for row_id in row_of), tuple(col_index),
+                      _frozen(cells), _frozen(counts.astype(np.int64, copy=False)))
 
 
 def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> CellCounts:
@@ -218,14 +204,14 @@ def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> Ce
 
 
 def aggregate(table: ContingencyTable | CellCounts,
-              segment_ids: Sequence[int] | np.ndarray) -> ContingencyTable:
+              segment_ids: Sequence[int] | np.ndarray) -> CellCounts:
     """Sum consecutive row blocks into one row per segment.
 
     ``segment_ids`` holds one 1-based segment id per row, in row order;
     the ids start at 1 and rise by at most one from row to row, so the
     segments are the runs of equal ids and are labelled ``"1".."k"``.
-    Column labels and column totals are unchanged.  The sums are taken
-    over the non-zero cells, so only the segments x words result is dense.
+    Column labels and column totals are unchanged.  The cells are summed
+    into a segments x words buffer, whose non-zero cells are returned.
     """
     if isinstance(table, ContingencyTable):
         table = CellCounts.of(table)
@@ -240,10 +226,11 @@ def aggregate(table: ContingencyTable | CellCounts,
     k = int(ids[-1]) if ids.size else 0
     m = len(table.col_labels)
     rows, cols = np.divmod(table.cells, m)
-    counts = np.zeros((k, m), dtype=np.int64)
-    np.add.at(counts.reshape(-1), (ids[rows] - 1) * m + cols, table.counts)
-    return ContingencyTable(tuple(str(sid) for sid in range(1, k + 1)), table.col_labels,
-                            _frozen(counts))
+    counts = np.zeros(k * m, dtype=np.int64)
+    np.add.at(counts, (ids[rows] - 1) * m + cols, table.counts)
+    cells = np.flatnonzero(counts)
+    return CellCounts(tuple(str(sid) for sid in range(1, k + 1)), table.col_labels,
+                      _frozen(cells), _frozen(counts[cells]))
 
 
 def load_word_list(path: str | Path) -> frozenset[str]:
@@ -267,10 +254,11 @@ def table_csv_rows(table: ContingencyTable | CellCounts) -> Iterator[str]:
     ``[label, *counts]`` with each count written as ``str(int)``: labels
     are quoted by csv itself, and the counts, which csv never quotes, are
     formatted by numpy in row blocks of about ``_CSV_BLOCK_BYTES``.  Only
-    one row block is dense at a time, taken from the cells of a
-    :class:`CellCounts`, so writing the lines as they come never holds
-    the whole table or its text.
+    one row block is dense at a time, taken from the table's cells, so
+    writing the lines as they come never holds the whole table or its text.
     """
+    if isinstance(table, ContingencyTable):
+        table = CellCounts.of(table)
     n, m = table.shape
     top = int(table.counts.max(initial=0))
     width = len(str(top))
@@ -278,8 +266,6 @@ def table_csv_rows(table: ContingencyTable | CellCounts) -> Iterator[str]:
     rows_per_block = max(1, _CSV_BLOCK_BYTES // (m * (width + 1) + 1))
 
     def block(start: int, stop: int) -> np.ndarray:
-        if isinstance(table, ContingencyTable):
-            return table.counts[start:stop].astype(dtype)
         lo, hi = np.searchsorted(table.cells, (start * m, stop * m))
         counts = np.zeros((stop - start, m), dtype=dtype)
         counts.reshape(-1)[table.cells[lo:hi] - start * m] = table.counts[lo:hi]

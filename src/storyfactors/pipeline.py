@@ -208,8 +208,7 @@ class PipelineResult:
     sentences: list[textprep.SentenceRecord] | None = None
     tokens: list[textprep.TokenList] | None = None
     cells: corpus.CellCounts | None = None  # the built, unfiltered table
-    # The analysed table: the filtered cells, then dense from the aggregate
-    # stage (its segments) or the fit_ca stage on.
+    # The analysed table: its cells, then dense from the fit_ca stage on.
     table: corpus.CellCounts | corpus.ContingencyTable | None = None
     model: ca.CAModel | None = None
     dendrogram: clustering.Dendrogram | None = None
@@ -314,9 +313,9 @@ def _tokenize(config: PipelineConfig, result: PipelineResult) -> str:
 
 
 def _build(config: PipelineConfig, result: PipelineResult) -> str:
-    paragraph_ids = {r.sentence_id: r.paragraph_id for r in result.sentences}
-    cells = result.cells = corpus.count_cells(
-        result.tokens, unit=config.unit, paragraph_ids=paragraph_ids)
+    row_ids = ([r.paragraph_id for r in result.sentences]
+               if config.unit == "paragraph" else None)  # None: one row per sentence
+    cells = result.cells = corpus.count_cells(result.tokens, row_ids)
     return f"build: {cells.shape[0]} {config.unit} rows x {cells.shape[1]} words"
 
 
@@ -399,8 +398,7 @@ def _alongside(job: Callable[[], None]) -> Iterator[None]:
 
 
 def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
-    if isinstance(result.table, corpus.CellCounts):  # no aggregate stage made it dense
-        result.table = result.table.dense()
+    result.table = result.table.dense()
     model = result.model = ca.fit_ca(result.table)
 
     # Most of the export is CPython's float formatting, which holds the GIL;

@@ -118,7 +118,7 @@ def load_speaker_map(path: str | Path) -> dict[int, str]:
             raise ValueError(f"{path}:{lineno}: expected 'paragraph_id,label', "
                              f"got {','.join(row)!r}") from None
         if paragraph_id in mapping:
-            raise ValueError(f"duplicate paragraph id {paragraph_id} in speaker map")
+            raise ValueError(f"{path}:{lineno}: duplicate paragraph id {paragraph_id}")
         mapping[paragraph_id] = label
     return mapping
 

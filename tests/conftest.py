@@ -23,7 +23,7 @@ def poe():
     abbreviations = corpus.load_word_list(DATA / "abbreviations.txt")
     records = textprep.segment_text(text, abbreviations=abbreviations)
     tokens = [textprep.tokenize(r) for r in records]
-    cells = corpus.count_cells(tokens, unit="sentence")
+    cells = corpus.count_cells(tokens)
     return {"records": records, "tokens": tokens, "cells": cells}
 
 

@@ -119,7 +119,7 @@ def test_criterion_06_section_inertia_profile(poe, t3, capsys):
         int(np.searchsorted(edges, paragraph_of[label])) + 1
         for label in t3.row_labels
     ]
-    sections = corpus.aggregate(t3, segment_ids)
+    sections = corpus.aggregate(t3, segment_ids).dense()
     model = ca.fit_ca(sections)
     cumulative = ca.cumulative_inertia(model)
     deviation = (float(np.abs(cumulative - SECTION_TARGET).max())

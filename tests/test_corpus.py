@@ -35,26 +35,20 @@ def test_build_table_keeps_empty_sentences():
 
 def test_build_table_paragraph_unit_sums_sentences():
     token_lists = [_tl(1, "a"), _tl(2, "b", "a"), _tl(3, "c")]
-    table = corpus.count_cells(
-        token_lists, unit="paragraph", paragraph_ids={1: 1, 2: 1, 3: 2}
-    ).dense()
+    table = corpus.count_cells(token_lists, [1, 1, 2]).dense()
     assert table.row_labels == ("1", "2")
     assert table.col_labels == ("a", "b", "c")
     assert table.counts.tolist() == [[2, 1, 0], [0, 0, 1]]
 
 
 def test_build_table_paragraph_unit_requires_ids():
-    with pytest.raises(ValueError, match="paragraph id"):
-        corpus.count_cells([_tl(1, "a")], unit="paragraph")
-    with pytest.raises(ValueError, match="no paragraph id for sentence 2"):
-        corpus.count_cells(
-            [_tl(1, "a"), _tl(2, "b")], unit="paragraph", paragraph_ids={1: 1}
-        )
+    with pytest.raises(ValueError, match="^1 row ids for 2 token lists$"):
+        corpus.count_cells([_tl(1, "a"), _tl(2, "b")], [1])
+    with pytest.raises(ValueError, match="^2 row ids for 1 token lists$"):
+        corpus.count_cells([_tl(1, "a")], [1, 1])
 
 
 def test_build_table_rejects_unknown_unit_and_empty_corpus():
-    with pytest.raises(ValueError, match="unit"):
-        corpus.count_cells([_tl(1, "a")], unit="chapter")
     with pytest.raises(ValueError, match="empty corpus"):
         corpus.count_cells([_tl(1), _tl(2)])
 
@@ -191,7 +185,7 @@ def test_aggregate_preserves_totals(table, k):
     k = min(k, n)
     edges = sorted(np.random.default_rng(k * n).choice(range(1, n), size=k - 1, replace=False)) if k > 1 else []
     sizes = np.diff([0, *edges, n]).tolist()
-    out = corpus.aggregate(table, np.repeat(np.arange(1, k + 1), sizes))
+    out = corpus.aggregate(table, np.repeat(np.arange(1, k + 1), sizes)).dense()
     assert out.shape == (k, len(table.col_labels))
     assert out.col_labels == table.col_labels
     assert out.total == table.total
@@ -215,7 +209,7 @@ def test_aggregate_equals_row_by_row_sums(table, data):
                                max_size=len(table.row_labels) - 1))
     ids = np.cumsum([1, *steps]).tolist()
     for source in (table, corpus.CellCounts.of(table)):
-        out = corpus.aggregate(source, ids)
+        out = corpus.aggregate(source, ids).dense()
         assert out.row_labels == tuple(str(sid) for sid in range(1, ids[-1] + 1))
         assert out.counts.dtype == np.int64
         assert np.array_equal(out.counts, _aggregate_row_by_row(table, ids))
@@ -379,15 +373,21 @@ def token_corpora(draw):
     return token_lists, paragraphs
 
 
+def _row_ids(token_lists, unit, paragraph_ids):
+    """``count_cells``'s rows for the oracle's unit: default, or each list's paragraph."""
+    return None if unit == "sentence" else [paragraph_ids[tl.sentence_id] for tl in token_lists]
+
+
 @given(token_corpora(), st.sampled_from(["sentence", "paragraph"]))
 @settings(max_examples=200, deadline=None)
 def test_build_table_matches_per_token_loop(corpus_and_ids, unit):
     token_lists, paragraphs = corpus_and_ids
+    row_ids = _row_ids(token_lists, unit, paragraphs)
     if not any(tl.tokens for tl in token_lists):
         with pytest.raises(ValueError, match="empty corpus"):
-            corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs)
+            corpus.count_cells(token_lists, row_ids)
         return
-    _assert_same_table(corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs).dense(),
+    _assert_same_table(corpus.count_cells(token_lists, row_ids).dense(),
                        _reference_build_table(token_lists, unit, paragraphs))
 
 
@@ -434,11 +434,12 @@ def test_apply_filter_matches_chained_passes(table, filt):
 @settings(max_examples=300, deadline=None)
 def test_filtered_cells_match_dense_build_then_filter(corpus_and_ids, unit, filt):
     token_lists, paragraphs = corpus_and_ids
+    row_ids = _row_ids(token_lists, unit, paragraphs)
     if not any(tl.tokens for tl in token_lists):
         with pytest.raises(ValueError, match="empty corpus"):
-            corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs)
+            corpus.count_cells(token_lists, row_ids)
         return
-    cells = corpus.count_cells(token_lists, unit=unit, paragraph_ids=paragraphs)
+    cells = corpus.count_cells(token_lists, row_ids)
     try:
         want = _reference_apply_filter(_reference_build_table(token_lists, unit, paragraphs), filt)
     except ValueError as err:
@@ -471,6 +472,31 @@ def test_count_and_filter_never_build_the_unfiltered_table():
     assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists), filt)) < bound
     # The dense route exceeds the bound, so the bound can tell them apart.
     assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists).dense(), filt)) > bound
+
+
+def test_paragraph_rows_count_in_less_memory_than_sentence_rows(poe):
+    # The bundled text four times over, renumbered so that ids stay unique:
+    # summing sentences into paragraphs inside count_cells must not cost
+    # more than counting one row per sentence.
+    records, tokens = poe["records"], poe["tokens"]
+    n, paragraphs = len(records), records[-1].paragraph_id
+    token_lists = [TokenList(tl.sentence_id + copy * n, tl.tokens)
+                   for copy in range(4) for tl in tokens]
+    paragraph_ids = [r.paragraph_id + copy * paragraphs for copy in range(4) for r in records]
+
+    def traced_peak(row_ids):
+        tracemalloc.start()
+        try:
+            cells = corpus.count_cells(token_lists, row_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return cells.shape[0], peak
+
+    sentence_rows, sentence_peak = traced_peak(None)
+    paragraph_rows, paragraph_peak = traced_peak(paragraph_ids)
+    assert (sentence_rows, paragraph_rows) == (4 * n, 4 * paragraphs)
+    assert paragraph_peak < sentence_peak
 
 
 def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path):

@@ -250,3 +250,11 @@ def test_load_speaker_map_validates(tmp_path):
     no_label.write_text("paragraph_id,label\n1\n")
     with pytest.raises(ValueError, match=rf"{re.escape(str(no_label))}:2: expected"):
         textprep.load_speaker_map(no_label)
+
+
+def test_load_speaker_map_reports_duplicate_with_path_and_line(tmp_path):
+    # A blank row before the repeat, so the line number counts file lines.
+    duplicate = tmp_path / "dup.csv"
+    duplicate.write_text("paragraph_id,label\n1,X\n\n2,Y\n1,Z\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(duplicate))}:5: duplicate paragraph id 1$"):
+        textprep.load_speaker_map(duplicate)
