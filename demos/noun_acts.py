@@ -36,7 +36,7 @@ print(f"{len(records)} sentences, {max(r.paragraph_id for r in records)} paragra
 lexicon = corpus.load_word_list(DATA / "nouns_lexicon.txt")
 filt = corpus.CorpusFilter(min_total_count=5, min_doc_count=5,
                            min_word_length=2, lexicon=lexicon)
-nouns = corpus.apply_filter(corpus.count_cells(tokens), filt).dense()
+nouns = corpus.apply_filter(corpus.count_cells(tokens), filt)
 print(f"noun table: {nouns.shape[0]} sentences x {nouns.shape[1]} nouns, "
       f"{nouns.total} occurrences")
 
@@ -55,10 +55,11 @@ for act in (1, 2, 3):
 # Distribution of the most frequent nouns across the acts: the story's
 # props enter and leave the stage act by act.
 act_of = np.array([acts.assignment[label] for label in nouns.row_labels])
+counts = nouns.dense()
 totals = nouns.column_totals()
 top = np.argsort(-totals, kind="stable")[:11]
 print("\nnoun            act1  act2  act3")
 for j in top:
     word = nouns.col_labels[j]
-    per_act = [int(nouns.counts[act_of == a, j].sum()) for a in (1, 2, 3)]
+    per_act = [int(counts[act_of == a, j].sum()) for a in (1, 2, 3)]
     print(f"{word:<14}  {per_act[0]:4d}  {per_act[1]:4d}  {per_act[2]:4d}")

@@ -26,7 +26,7 @@ cells = corpus.count_cells([textprep.tokenize(r) for r in records])
 filt = corpus.CorpusFilter(
     min_total_count=3, min_doc_count=3, min_word_length=2,
     stopwords=corpus.load_word_list(DATA / "stopwords_english.txt"))
-table = corpus.apply_filter(cells, filt).dense()
+table = corpus.apply_filter(cells, filt)
 print(f"table: {table.shape[0]} sentences x {table.shape[1]} words")
 
 # Embed on the first five factor axes and cluster with Ward, weighting

@@ -51,7 +51,6 @@ from .clustering import (
 )
 from .corpus import (
     CellCounts,
-    ContingencyTable,
     CorpusFilter,
     aggregate,
     apply_filter,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CAModel",
     "CellCounts",
-    "ContingencyTable",
     "CorpusFilter",
     "Dendrogram",
     "Partition",

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._formats import labelled_csv, write_csv
-from .corpus import ContingencyTable
+from .corpus import CellCounts
 
 # Relative trim per axis plus an absolute floor: singular values are at
 # most 1 in CA, so anything below 1e-13 is floating-point residue (e.g.
@@ -75,18 +75,16 @@ def _orientation_key(row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -
     return (len(row_labels), len(col_labels), row_labels, col_labels)
 
 
-def fit_ca(table: ContingencyTable) -> CAModel:
+def fit_ca(table: CellCounts) -> CAModel:
     """Fit CA on a table with at least 2 rows and columns and no zero margins.
 
     The factorization runs in a canonical orientation of the table (the
     transpose is factored and its sides swapped back when its shape/label
     key sorts lower), so fitting a table and fitting its transpose give
-    exactly swapped row and column outputs, bit for bit.
+    exactly swapped row and column outputs, bit for bit.  The table's
+    dense n x m array is built here.
     """
-    if not isinstance(table, ContingencyTable):  # cells, as the corpus functions return them
-        raise TypeError(f"fit_ca needs a ContingencyTable, got {type(table).__name__}; "
-                        "call its .dense()")
-    counts = table.counts
+    counts = table.dense()
     n, m = counts.shape
     if n < 2 or m < 2:
         raise ValueError(f"CA needs at least a 2x2 table, got {n}x{m}")
@@ -99,7 +97,7 @@ def fit_ca(table: ContingencyTable) -> CAModel:
     rows, cols = table.row_labels, table.col_labels
     transposed = _orientation_key(cols, rows) < _orientation_key(rows, cols)
     if transposed:  # the integer margins are exact, so swapping them is too
-        counts, row_sums, col_sums = table.transpose().counts, col_sums, row_sums
+        counts, row_sums, col_sums = counts.T.copy(), col_sums, row_sums  # a C-ordered copy
 
     total = float(counts.sum())
     P = counts / total
@@ -145,13 +143,13 @@ def fit_ca(table: ContingencyTable) -> CAModel:
     )
 
 
-def chi2_row_distance(table: ContingencyTable, i: int, i2: int) -> float:
+def chi2_row_distance(table: CellCounts, i: int, i2: int) -> float:
     """Chi-squared distance between the profiles of rows ``i`` and ``i2``.
 
     d^2(i,i') = sum_j (1/c_j) (p_ij/r_i - p_i'j/r_i')^2; equals the
     Euclidean distance between full-dimensional principal coordinates.
     """
-    counts = table.counts
+    counts = table.dense()
     for idx in (i, i2):
         if counts[idx].sum() == 0:
             raise ValueError(f"zero-sum row: {table.row_labels[idx]!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._formats import write_csv
 from .clustering import Partition
-from .corpus import ContingencyTable
+from .corpus import CellCounts
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def v_test(values, partition: Partition, cluster_id: int) -> tuple[float, float]
 
 
 def characterize_clusters(
-    table: ContingencyTable,
+    table: CellCounts,
     partition: Partition,
     alpha: float,
 ) -> VTestReport:
@@ -92,7 +92,7 @@ def characterize_clusters(
         raise ValueError(f"partition does not cover table rows (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
 
     cluster_ids = np.array([partition.assignment[label] for label in table.row_labels])
-    values = table.counts.astype(float)
+    values = table.dense().astype(float)
     global_means = values.mean(axis=0)
     variances = values.var(axis=0)
 

@@ -2,17 +2,16 @@
 
 Tables are integer count tables with ordered labels: rows follow the
 chronology of the text units, columns are the vocabulary in order of
-first appearance.  Every table this module computes is a
-:class:`CellCounts`, its non-zero cells only: :func:`count_cells` counts
-tokens into cells, :func:`apply_filter` returns the kept cells,
-:func:`aggregate` sums cells into one row per segment given one segment
-id per row (a segment is a run of rows), and :func:`table_csv_rows`
-formats them one row block at a time.  Each also takes a dense
-:class:`ContingencyTable`, reduced to its cells on entry, and
-:meth:`CellCounts.dense` is the one full allocation.  Filtering is a pipeline of passes (stopwords, word
-length, lexicon, frequency thresholds, empty-row removal) run by one
-kernel over the cells, and is idempotent: applying the same filter twice
-changes nothing.
+first appearance.  The one table type is :class:`CellCounts`, a
+table's non-zero cells: :func:`count_cells` counts tokens into cells,
+:func:`apply_filter` returns the kept cells, :func:`aggregate` sums cells
+into one row per segment given one segment id per row (a segment is a
+run of rows), and :func:`table_csv_rows` formats them one row block at a
+time.  :meth:`CellCounts.of` takes the cells of a dense array, and
+:meth:`CellCounts.dense` makes the full array for code that needs it.
+Filtering is a pipeline of passes (stopwords, word length, lexicon,
+frequency thresholds, empty-row removal) run by one kernel over the
+cells, and is idempotent: applying the same filter twice changes nothing.
 """
 
 from __future__ import annotations
@@ -40,57 +39,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
-    """Counts of column items per row document, with stable label order."""
-
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    counts: np.ndarray  # shape (rows, cols), non-negative integers
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts is self.counts and counts.flags.writeable:
-            counts = counts.copy()  # freezing the caller's own array would lock it
-        if counts.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValueError(
-                f"counts shape {counts.shape} does not match "
-                f"{len(self.row_labels)} rows x {len(self.col_labels)} cols"
-            )
-        if counts.min(initial=0) < 0:
-            raise ValueError("counts must be non-negative")
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise ValueError("duplicate row labels")
-        if len(set(self.col_labels)) != len(self.col_labels):
-            raise ValueError("duplicate column labels")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
-
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def column_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(self.col_labels, self.row_labels, _frozen(self.counts.T.copy()))
-
-
-@dataclass(frozen=True)
 class CellCounts:
-    """A count table stored as its non-zero cells.
+    """A count table stored as its non-zero cells, with stable label order.
 
     ``cells`` holds the sorted, unique flat indices ``row * len(col_labels)
     + col`` of the non-zero cells and ``counts`` their positive counts, so
     the storage grows with the distinct words of each row, not with rows
-    times vocabulary.
+    times vocabulary.  Both are read-only int64 arrays: one given that way
+    is taken as it is, anything else is copied.
     """
 
     row_labels: tuple[str, ...]
@@ -98,20 +54,58 @@ class CellCounts:
     cells: np.ndarray  # sorted unique int64 flat indices
     counts: np.ndarray  # int64, > 0, one per cell
 
+    def __post_init__(self) -> None:
+        for name in ("cells", "counts"):
+            value = getattr(self, name)
+            array = np.asarray(value, dtype=np.int64)
+            if array is value and array.flags.writeable:
+                array = array.copy()  # freezing the caller's own array would lock it
+            object.__setattr__(self, name, _frozen(array))
+        cells, counts, size = self.cells, self.counts, self.shape[0] * self.shape[1]
+        if cells.ndim != 1 or cells.shape != counts.shape:
+            raise ValueError(f"cells {cells.shape} and counts {counts.shape} "
+                             "must be 1-D arrays of one length")
+        if cells.size and (cells[0] < 0 or int(cells[-1]) >= size
+                           or not (cells[1:] > cells[:-1]).all()):
+            raise ValueError(f"cells must rise strictly within [0, {size})")
+        if counts.min(initial=1) < 1:
+            raise ValueError("counts must be positive")
+        for side, labels in (("row", self.row_labels), ("column", self.col_labels)):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate {side} labels")
+
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
 
-    @classmethod
-    def of(cls, table: ContingencyTable) -> "CellCounts":
-        flat = table.counts.reshape(-1)
-        cells = np.flatnonzero(flat)
-        return cls(table.row_labels, table.col_labels, _frozen(cells), _frozen(flat[cells]))
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
-    def dense(self) -> ContingencyTable:
+    def column_totals(self) -> np.ndarray:
+        totals = np.zeros(self.shape[1], dtype=np.int64)
+        np.add.at(totals, self.cells % self.shape[1], self.counts)
+        return totals
+
+    @classmethod
+    def of(cls, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
+           counts: np.ndarray) -> "CellCounts":
+        """The cells of a dense rows x columns array of non-negative counts."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(row_labels), len(col_labels)):
+            raise ValueError(f"counts shape {counts.shape} does not match "
+                             f"{len(row_labels)} rows x {len(col_labels)} cols")
+        if counts.min(initial=0) < 0:
+            raise ValueError("counts must be non-negative")
+        flat = counts.reshape(-1)
+        cells = np.flatnonzero(flat)
+        return cls(row_labels, col_labels, _frozen(cells), _frozen(flat[cells]))
+
+    def dense(self) -> np.ndarray:
+        """The full rows x columns table, as a new read-only int64 array."""
         counts = np.zeros(self.shape, dtype=np.int64)
         counts.reshape(-1)[self.cells] = self.counts
-        return ContingencyTable(self.row_labels, self.col_labels, _frozen(counts))
+        return _frozen(counts)
 
 
 @dataclass(frozen=True)
@@ -157,23 +151,18 @@ def count_cells(token_lists: Iterable[TokenList],
                       _frozen(cells), _frozen(counts.astype(np.int64, copy=False)))
 
 
-def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> CellCounts:
+def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:
     """Run the filter passes in their fixed order and drop emptied rows.
 
     Pass order: stopword removal, minimum word length, lexicon allow-list,
     then the frequency thresholds evaluated against the table as it stands
     at that point (document frequencies are not recomputed after columns
-    drop), and finally removal of all-zero rows.  A dense table is first
-    reduced to its :class:`CellCounts`, so both inputs take one path.
-    Returns the kept cells, renumbered to the kept rows and columns;
-    :meth:`CellCounts.dense` makes them a table.
+    drop), and finally removal of all-zero rows.  Returns the kept cells,
+    renumbered to the kept rows and columns.
     """
-    if isinstance(table, ContingencyTable):
-        table = CellCounts.of(table)
     n, V = table.shape
     rows, cols = np.divmod(table.cells, V)
-    totals = np.zeros(V, dtype=np.int64)
-    np.add.at(totals, cols, table.counts)
+    totals = table.column_totals()
     # Totals and document frequencies (a column's non-zero cells) are per
     # column, so evaluating the thresholds on the whole table and ANDing
     # them with the word passes keeps exactly the columns the passes would
@@ -203,8 +192,7 @@ def apply_filter(table: ContingencyTable | CellCounts, filt: CorpusFilter) -> Ce
                       _frozen(new_row[rows] * m + new_col[cols]), _frozen(table.counts[kept]))
 
 
-def aggregate(table: ContingencyTable | CellCounts,
-              segment_ids: Sequence[int] | np.ndarray) -> CellCounts:
+def aggregate(table: CellCounts, segment_ids: Sequence[int] | np.ndarray) -> CellCounts:
     """Sum consecutive row blocks into one row per segment.
 
     ``segment_ids`` holds one 1-based segment id per row, in row order;
@@ -213,8 +201,6 @@ def aggregate(table: ContingencyTable | CellCounts,
     Column labels and column totals are unchanged.  The cells are summed
     into a segments x words buffer, whose non-zero cells are returned.
     """
-    if isinstance(table, ContingencyTable):
-        table = CellCounts.of(table)
     ids = np.asarray(segment_ids, dtype=np.int64)
     if ids.shape != (table.shape[0],):
         raise ValueError(f"{ids.size} segment ids for {table.shape[0]} rows")
@@ -242,12 +228,12 @@ def load_word_list(path: str | Path) -> frozenset[str]:
     return frozenset(line for _, line in lines(path))
 
 
-def table_to_csv(table: ContingencyTable | CellCounts) -> str:
+def table_to_csv(table: CellCounts) -> str:
     """Serialize a table: header of word labels, one row per document."""
     return "".join(table_csv_rows(table))
 
 
-def table_csv_rows(table: ContingencyTable | CellCounts) -> Iterator[str]:
+def table_csv_rows(table: CellCounts) -> Iterator[str]:
     """The lines of :func:`table_to_csv`, header first, one string each.
 
     The bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over
@@ -257,8 +243,6 @@ def table_csv_rows(table: ContingencyTable | CellCounts) -> Iterator[str]:
     one row block is dense at a time, taken from the table's cells, so
     writing the lines as they come never holds the whole table or its text.
     """
-    if isinstance(table, ContingencyTable):
-        table = CellCounts.of(table)
     n, m = table.shape
     top = int(table.counts.max(initial=0))
     width = len(str(top))
@@ -295,7 +279,7 @@ def _count_rows(block: np.ndarray, width: int) -> str:
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def table_from_csv(data: str) -> ContingencyTable:
+def table_from_csv(data: str) -> CellCounts:
     """Parse :func:`table_to_csv` output; exact round-trip."""
     header, rows = read_csv(data)
     if not header or header[0] != "doc_id":
@@ -303,5 +287,5 @@ def table_from_csv(data: str) -> ContingencyTable:
     col_labels = tuple(header[1:])
     body = [row for _, row in rows]
     counts = np.array([[int(cell) for cell in row[1:]] for row in body], dtype=np.int64)
-    return ContingencyTable(tuple(row[0] for row in body), col_labels,
-                            _frozen(counts.reshape(len(body), len(col_labels))))
+    return CellCounts.of(tuple(row[0] for row in body), col_labels,
+                         counts.reshape(len(body), len(col_labels)))

@@ -6,11 +6,13 @@ cluster -> cut -> v-test -> plot, where the aggregate stage only runs
 when the config defines a segmentation.  Each stage reads and fills the
 :class:`PipelineResult` and returns its line of counts for the run
 summary; any failure is re-raised as a :class:`StageError` naming the
-stage.  A run first removes every artifact a previous run may have left
-in the output directory, and a failed run removes what it wrote, so the
-directory holds exactly one run's artifacts or none.  All outputs are
-pure functions of the config and input files, so two runs over the same
-inputs are byte-identical.
+stage.  The table passes between stages as its non-zero cells
+(:class:`corpus.CellCounts`); ``fit_ca`` and the v-test build the dense
+array they need themselves.  A run first removes every artifact a
+previous run may have left in the output directory, and a failed run
+removes what it wrote, so the directory holds exactly one run's
+artifacts or none.  All outputs are pure functions of the config and
+input files, so two runs over the same inputs are byte-identical.
 
 The fit_ca stage writes the two contribution files in a forked child
 while this process writes the inertia and coordinate files, and joins
@@ -208,8 +210,7 @@ class PipelineResult:
     sentences: list[textprep.SentenceRecord] | None = None
     tokens: list[textprep.TokenList] | None = None
     cells: corpus.CellCounts | None = None  # the built, unfiltered table
-    # The analysed table: its cells, then dense from the fit_ca stage on.
-    table: corpus.CellCounts | corpus.ContingencyTable | None = None
+    table: corpus.CellCounts | None = None  # the analysed table: filtered, then aggregated
     model: ca.CAModel | None = None
     dendrogram: clustering.Dendrogram | None = None
     partition: clustering.Partition | None = None
@@ -333,7 +334,7 @@ def _filter(config: PipelineConfig, result: PipelineResult) -> str:
     built_rows = result.cells.shape[0]
     table = result.table = corpus.apply_filter(result.cells, filt)
     _write(result, "table", corpus.table_csv_rows(table))
-    return (f"filter: {table.shape[1]} words, {int(table.counts.sum())} occurrences, "
+    return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
             f"{table.shape[0]} non-empty rows, {built_rows - table.shape[0]} emptied")
 
 
@@ -398,7 +399,6 @@ def _alongside(job: Callable[[], None]) -> Iterator[None]:
 
 
 def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
-    result.table = result.table.dense()
     model = result.model = ca.fit_ca(result.table)
 
     # Most of the export is CPython's float formatting, which holds the GIL;

@@ -113,13 +113,14 @@ def load_speaker_map(path: str | Path) -> dict[int, str]:
     mapping: dict[int, str] = {}
     for lineno, row in rows:
         try:
-            paragraph_id, label = int(row[0]), row[1].strip()
-        except (IndexError, ValueError):
+            paragraph_id, label = row  # exactly two fields: an unquoted comma is an error
+            paragraph_id = int(paragraph_id)
+        except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'paragraph_id,label', "
                              f"got {','.join(row)!r}") from None
         if paragraph_id in mapping:
             raise ValueError(f"{path}:{lineno}: duplicate paragraph id {paragraph_id}")
-        mapping[paragraph_id] = label
+        mapping[paragraph_id] = label.strip()
     return mapping
 
 

@@ -38,14 +38,14 @@ def noun_lexicon():
 
 
 def random_table(rng: np.random.Generator, max_rows: int = 9, max_cols: int = 9,
-                 high: int = 9) -> corpus.ContingencyTable:
+                 high: int = 9) -> corpus.CellCounts:
     """Random contingency table with no zero row or column margins."""
     n = int(rng.integers(2, max_rows + 1))
     m = int(rng.integers(2, max_cols + 1))
     counts = rng.integers(0, high, size=(n, m))
     counts[counts.sum(axis=1) == 0, 0] += 1
     counts[0, counts.sum(axis=0) == 0] += 1
-    return corpus.ContingencyTable(
+    return corpus.CellCounts.of(
         tuple(f"r{i}" for i in range(n)),
         tuple(f"c{j}" for j in range(m)),
         counts,

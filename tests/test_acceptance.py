@@ -43,21 +43,21 @@ def _within(value, target, relative):
 def t3(poe, stopwords):
     filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3,
                                min_word_length=2, stopwords=stopwords)
-    return corpus.apply_filter(poe["cells"], filt).dense()
+    return corpus.apply_filter(poe["cells"], filt)
 
 
 @pytest.fixture(scope="module")
 def t4(poe, stopwords):
     filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3,
                                min_word_length=5, stopwords=stopwords)
-    return corpus.apply_filter(poe["cells"], filt).dense()
+    return corpus.apply_filter(poe["cells"], filt)
 
 
 @pytest.fixture(scope="module")
 def t5(poe, noun_lexicon):
     filt = corpus.CorpusFilter(min_total_count=5, min_doc_count=5,
                                min_word_length=2, lexicon=noun_lexicon)
-    return corpus.apply_filter(poe["cells"], filt).dense()
+    return corpus.apply_filter(poe["cells"], filt)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_criterion_06_section_inertia_profile(poe, t3, capsys):
         int(np.searchsorted(edges, paragraph_of[label])) + 1
         for label in t3.row_labels
     ]
-    sections = corpus.aggregate(t3, segment_ids).dense()
+    sections = corpus.aggregate(t3, segment_ids)
     model = ca.fit_ca(sections)
     cumulative = ca.cumulative_inertia(model)
     deviation = (float(np.abs(cumulative - SECTION_TARGET).max())
@@ -181,7 +181,7 @@ def test_criterion_09_vtest_sentinel_words(t3, capsys):
 
 
 def _profile_to_centroid_sq(table, i):
-    counts = table.counts
+    counts = table.dense()
     c = counts.sum(axis=0) / table.total
     profile = counts[i] / counts[i].sum()
     return float(np.sum((profile - c) ** 2 / c))
@@ -215,7 +215,7 @@ def test_criterion_10_property_suite(tmp_path, capsys):
                 failures.append(f"chi2 distance (trial {trial})")
                 break
         if trial % 10 == 0 and model.n_axes:
-            supplementary = ca.project_supplementary(model, table.counts[0], "row")
+            supplementary = ca.project_supplementary(model, table.dense()[0], "row")
             if np.abs(supplementary - F[0]).max() > 1e-10:
                 failures.append(f"supplementary duplicate (trial {trial})")
 

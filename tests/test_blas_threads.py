@@ -25,7 +25,7 @@ import storyfactors
 import numpy as np
 counts = np.random.default_rng(0).poisson(2.0, size=(300, 300)) + 1
 labels = tuple(map(str, range(300)))
-storyfactors.fit_ca(storyfactors.ContingencyTable(labels, labels, counts))
+storyfactors.fit_ca(storyfactors.CellCounts.of(labels, labels, counts))
 threads = None
 if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as status:

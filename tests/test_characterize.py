@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storyfactors import characterize
+from storyfactors import ca, characterize, clustering, corpus
 from storyfactors.clustering import Partition
-from storyfactors.corpus import ContingencyTable
+from storyfactors.corpus import CellCounts
 
 mpmath.mp.dps = 50
 
@@ -36,7 +36,7 @@ def test_p_value_accurate_deep_in_the_tail():
     # the value must match a 50-digit erfc evaluation.
     counts = np.ones((200, 2), dtype=int)
     counts[50:, 0] = 0
-    table = ContingencyTable(tuple(str(i) for i in range(200)), ("w0", "w1"), counts)
+    table = CellCounts.of(tuple(str(i) for i in range(200)), ("w0", "w1"), counts)
     report = characterize.characterize_clusters(table, _split_partition(200, 50), 0.05)
     entry = next(e for e in report.entries if e.cluster_id == 1 and e.word == "w0")
     assert entry.p < 1e-40
@@ -80,13 +80,13 @@ def test_two_cluster_v_signs_are_opposite():
     rng = np.random.default_rng(3)
     counts = rng.integers(0, 8, size=(12, 6))
     counts[:, 0] += 1
-    table = ContingencyTable(
+    table = CellCounts.of(
         tuple(str(i) for i in range(12)), tuple(f"w{j}" for j in range(6)), counts
     )
     partition = _split_partition(12, 5)
     for j in range(len(table.col_labels)):
-        v1, _ = characterize.v_test(table.counts[:, j], partition, 1)
-        v2, _ = characterize.v_test(table.counts[:, j], partition, 2)
+        v1, _ = characterize.v_test(table.dense()[:, j], partition, 1)
+        v2, _ = characterize.v_test(table.dense()[:, j], partition, 2)
         assert v1 * v2 <= 0.0
 
 
@@ -105,7 +105,7 @@ def test_report_sorted_and_filtered_by_alpha():
     rng = np.random.default_rng(11)
     counts = rng.integers(0, 9, size=(15, 8))
     counts[:, 0] += 1
-    table = ContingencyTable(
+    table = CellCounts.of(
         tuple(str(i) for i in range(15)), tuple(f"w{j}" for j in range(8)), counts
     )
     partition = _split_partition(15, 6)
@@ -117,13 +117,13 @@ def test_report_sorted_and_filtered_by_alpha():
         (c, word)
         for c in (1, 2)
         for j, word in enumerate(table.col_labels)
-        if characterize.v_test(table.counts[:, j], partition, c)[1] < 0.2
+        if characterize.v_test(table.dense()[:, j], partition, c)[1] < 0.2
     }
     assert {(e.cluster_id, e.word) for e in report.entries} == significant
 
 
 def test_characterize_validation():
-    table = ContingencyTable(("0", "1"), ("w0", "w1"), np.ones((2, 2), dtype=int))
+    table = CellCounts.of(("0", "1"), ("w0", "w1"), np.ones((2, 2), dtype=int))
     partition = _split_partition(2, 1)
     with pytest.raises(ValueError, match="alpha"):
         characterize.characterize_clusters(table, partition, alpha=0.0)
@@ -147,3 +147,35 @@ def test_report_csv_layout():
     assert lines[0] == "cluster,word,v,p,cluster_mean,global_mean"
     assert lines[1] == "1,letter,7.25,4.180000e-13,3.5,1.25"
     assert lines[2] == "2,police,0,1.000000e+00,0.5,0.5"
+
+
+def test_fit_and_vtest_take_the_filtered_cells(poe, stopwords):
+    # fit_ca and characterize_clusters take the cells apply_filter returns,
+    # with the results of the table built from its dense array first, and of
+    # the CA and v-test formulas written out on that array.
+    filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3, min_word_length=2,
+                               stopwords=stopwords)
+    table = corpus.apply_filter(poe["cells"], filt)
+    model = ca.fit_ca(table)
+    counts = table.dense()
+    rebuilt = CellCounts.of(table.row_labels, table.col_labels, counts)
+    want = ca.fit_ca(rebuilt)
+    for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords",
+                 "row_contrib", "col_contrib"):
+        assert np.array_equal(getattr(model, name), getattr(want, name)), name
+    P = counts / counts.sum()
+    expected = np.outer(P.sum(axis=1), P.sum(axis=0))
+    sigma = np.linalg.svd((P - expected) / np.sqrt(expected), compute_uv=False)
+    assert model.n_axes == 269
+    assert np.allclose(model.singular_values, sigma[:model.n_axes], rtol=0, atol=1e-12)
+
+    cloud = clustering.PointCloud(table.row_labels, model.row_coords[:, :5])
+    partition = clustering.cut_k(clustering.constrained_complete_link(cloud), 4)
+    report = characterize.characterize_clusters(table, partition, alpha=0.05)
+    assert report == characterize.characterize_clusters(rebuilt, partition, alpha=0.05)
+    assert report.entries
+    for entry in report.entries:
+        column = counts[:, table.col_labels.index(entry.word)]
+        v, p = characterize.v_test(column, partition, entry.cluster_id)
+        assert entry.v == pytest.approx(v, rel=1e-9)
+        assert entry.p == pytest.approx(p, rel=1e-9)

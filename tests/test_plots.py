@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storyfactors import ca, clustering, plots
-from storyfactors.corpus import ContingencyTable
+from storyfactors.corpus import CellCounts
 
 from conftest import random_table
 
@@ -18,7 +18,7 @@ def _model(rows=12, cols=60, seed=4):
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 7, size=(rows, cols))
     counts += 1
-    table = ContingencyTable(
+    table = CellCounts.of(
         tuple(f"s{i}" for i in range(rows)),
         tuple(f"word{j:02d}" for j in range(cols)),
         counts,
@@ -119,7 +119,7 @@ def test_top_selection_matches_top_contributors_ranking():
         table = random_table(rng, high=int(rng.choice([2, 9])))
         n, m = table.shape
         words = [f"w{i}" for i in rng.permutation(n + m)]
-        model = ca.fit_ca(ContingencyTable(tuple(words[:n]), tuple(words[n:]), table.counts))
+        model = ca.fit_ca(CellCounts.of(tuple(words[:n]), tuple(words[n:]), table.dense()))
         if model.n_axes < 2:
             continue
         models += 1

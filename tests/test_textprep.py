@@ -258,3 +258,15 @@ def test_load_speaker_map_reports_duplicate_with_path_and_line(tmp_path):
     duplicate.write_text("paragraph_id,label\n1,X\n\n2,Y\n1,Z\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(duplicate))}:5: duplicate paragraph id 1$"):
         textprep.load_speaker_map(duplicate)
+
+
+def test_load_speaker_map_rejects_an_unquoted_comma_in_the_label(tmp_path):
+    unquoted = tmp_path / "unquoted.csv"
+    unquoted.write_text("paragraph_id,label\n1,Dupin, C. Auguste\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(unquoted))}:2: expected "
+                                         r"'paragraph_id,label', got '1,Dupin, C. Auguste'$"):
+        textprep.load_speaker_map(unquoted)
+
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('paragraph_id,label\n1,"Dupin, C. Auguste"\n')
+    assert textprep.load_speaker_map(quoted) == {1: "Dupin, C. Auguste"}
