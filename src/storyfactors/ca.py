@@ -100,12 +100,19 @@ def fit_ca(table: CellCounts) -> CAModel:
         counts, row_sums, col_sums = counts.T.copy(), col_sums, row_sums  # a C-ordered copy
 
     total = float(counts.sum())
-    P = counts / total
     r = row_sums / total
     c = col_sums / total
+    # S = (P - r c') / sqrt(r c') is built in place: each element sees the
+    # operations of that formula in its order, at most two n x m arrays are
+    # live, and only S when the SVD starts.
+    S = counts / total
+    del counts
     expected = np.outer(r, c)
-    S = (P - expected) / np.sqrt(expected)
+    S -= expected
+    S /= np.sqrt(expected, out=expected)
+    del expected
     U, sigma, Vt = np.linalg.svd(S, full_matrices=False)
+    del S
 
     k_max = min(n - 1, m - 1)
     threshold = max(_REL_TRIM * (sigma[0] if len(sigma) else 0.0), _ABS_TRIM)

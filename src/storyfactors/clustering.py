@@ -8,7 +8,7 @@ distance.  Both are monotone.  Ward updates a full n x n cost matrix by
 Lance-Williams and caches each row's nearest neighbour, so a merge is
 O(n); its memory is two n x n buffers while the costs are filled, one
 after.  Constrained complete link keeps only the chain of intervals and
-the costs between neighbours: O(n) memory plus one 8 MB buffer of pair
+the costs between neighbours: O(n) memory plus one 1 MB buffer of pair
 differences.  Nodes are numbered like scipy: leaves 0..n-1 in
 chronological order, merge t creates node n+t.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._formats import write_csv
 
-_PAIR_BLOCK = 2**20  # float64 pair differences computed at once (8 MB)
+_PAIR_BLOCK = 2**17  # float64 pair differences computed at once (1 MB)
 # Leaf labels in dendrogram text: the escape character and every line
 # boundary of str.splitlines become \uXXXX, so each record stays on one line.
 _LABEL_ESCAPES = {ord(c): f"\\u{ord(c):04x}" for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -183,7 +183,7 @@ def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
     every stage is an interval of that sequence.  Ties go to the leftmost
     adjacent pair.  Only neighbouring intervals are compared (Murtagh
     1985), so memory is O(n) plus one buffer of at most ``_PAIR_BLOCK``
-    pair differences (8 MB), or of one row if that is more.
+    pair differences (1 MB), or of one row if that is more.
     """
     n = len(cloud)
     if n < 2:

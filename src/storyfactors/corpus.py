@@ -38,6 +38,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _whole(name: str, value) -> np.ndarray:
+    """``value`` as int64, refusing floats that are not whole numbers int64 holds."""
+    array = np.asarray(value)
+    if array.dtype.kind == "f":  # nan compares false, and inf fails the bound
+        if not ((np.trunc(array) == array) & (np.abs(array) < 2.0**63)).all():
+            raise ValueError(f"{name} must be whole numbers")
+    return np.asarray(array, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CellCounts:
     """A count table stored as its non-zero cells, with stable label order.
@@ -57,7 +66,7 @@ class CellCounts:
     def __post_init__(self) -> None:
         for name in ("cells", "counts"):
             value = getattr(self, name)
-            array = np.asarray(value, dtype=np.int64)
+            array = _whole(name, value)
             if array is value and array.flags.writeable:
                 array = array.copy()  # freezing the caller's own array would lock it
             object.__setattr__(self, name, _frozen(array))
@@ -91,7 +100,7 @@ class CellCounts:
     def of(cls, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
            counts: np.ndarray) -> "CellCounts":
         """The cells of a dense rows x columns array of non-negative counts."""
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = _whole("counts", counts)
         if counts.shape != (len(row_labels), len(col_labels)):
             raise ValueError(f"counts shape {counts.shape} does not match "
                              f"{len(row_labels)} rows x {len(col_labels)} cols")
@@ -285,7 +294,16 @@ def table_from_csv(data: str) -> CellCounts:
     if not header or header[0] != "doc_id":
         raise ValueError("table CSV must start with a doc_id header column")
     col_labels = tuple(header[1:])
-    body = [row for _, row in rows]
-    counts = np.array([[int(cell) for cell in row[1:]] for row in body], dtype=np.int64)
-    return CellCounts.of(tuple(row[0] for row in body), col_labels,
-                         counts.reshape(len(body), len(col_labels)))
+    m = len(col_labels)
+    labels, body = [], []
+    for lineno, row in rows:
+        if len(row) - 1 != m:
+            raise ValueError(f"line {lineno}: expected {m} counts after the label, "
+                             f"got {len(row) - 1}")
+        try:
+            body.append([int(cell) for cell in row[1:]])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        labels.append(row[0])
+    return CellCounts.of(tuple(labels), col_labels,
+                         np.array(body, dtype=np.int64).reshape(len(body), m))

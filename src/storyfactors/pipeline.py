@@ -38,6 +38,7 @@ _UNITS = ("sentence", "paragraph")
 _CRITERIA = ("ward", "constrained")
 _PATH_KEYS = ("input_text", "abbreviations", "stopwords", "lexicon",
               "speakers", "segment_file")
+_WRITE_SLICE = 1 << 20  # characters of a whole-text artifact encoded at once
 
 # Result key -> artifact file name; every name a run can write.
 _ARTIFACTS = {
@@ -218,10 +219,17 @@ class PipelineResult:
 
 
 def _write(result: PipelineResult, key: str, content: str | Iterable[str]) -> None:
-    """Write an artifact given whole or as chunks, which are written as they come."""
+    """Write an artifact given whole or as chunks, which are written as they come.
+
+    Whole text goes out in slices of ``_WRITE_SLICE`` characters, so the
+    encoder never holds a bytes copy of all of it."""
     path = result.out_dir / _ARTIFACTS[key]
     with path.open("w", encoding="utf-8") as out:
-        out.writelines([content] if isinstance(content, str) else content)
+        if isinstance(content, str):
+            for start in range(0, len(content), _WRITE_SLICE):
+                out.write(content[start:start + _WRITE_SLICE])
+        else:
+            out.writelines(content)
     result.files[key] = path
 
 

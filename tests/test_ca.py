@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,81 @@ def test_fit_transposes_only_when_the_transpose_sorts_lower(monkeypatch):
     swapped = ca.fit_ca(_transposed(wide))
     assert shapes == [(2, 3), (2, 3)]
     assert np.array_equal(swapped.row_coords, model.col_coords)
+
+
+def _out_of_place_fit(table):
+    """``fit_ca`` as it was before S was built in place, kept as the bitwise reference."""
+    counts = table.dense()
+    n, m = counts.shape
+    row_sums = counts.sum(axis=1)
+    col_sums = counts.sum(axis=0)
+    rows, cols = table.row_labels, table.col_labels
+    transposed = ca._orientation_key(cols, rows) < ca._orientation_key(rows, cols)
+    if transposed:
+        counts, row_sums, col_sums = counts.T.copy(), col_sums, row_sums
+
+    total = float(counts.sum())
+    P = counts / total
+    r = row_sums / total
+    c = col_sums / total
+    expected = np.outer(r, c)
+    S = (P - expected) / np.sqrt(expected)
+    U, sigma, Vt = np.linalg.svd(S, full_matrices=False)
+
+    k_max = min(n - 1, m - 1)
+    threshold = max(ca._REL_TRIM * (sigma[0] if len(sigma) else 0.0), ca._ABS_TRIM)
+    K = min(k_max, int((sigma > threshold).sum()))
+    sigma = sigma[:K].copy()
+    F = U[:, :K] * sigma / np.sqrt(r)[:, None]
+    G = Vt[:K].T * sigma / np.sqrt(c)[:, None]
+    for k in range(K):
+        anchor = int(np.argmax(np.abs(G[:, k])))
+        if G[anchor, k] < 0:
+            F[:, k] = -F[:, k]
+            G[:, k] = -G[:, k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_contrib = r[:, None] * F**2 / sigma**2
+        col_contrib = c[:, None] * G**2 / sigma**2
+    if transposed:
+        (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)
+    return ca.CAModel(table.row_labels, table.col_labels, r, c, sigma, F, G,
+                      row_contrib, col_contrib, float(np.sum(sigma**2)))
+
+
+def _poisson_table(rng, n, m, lam):
+    counts = rng.poisson(lam, size=(n, m))
+    counts[counts.sum(axis=1) == 0, 0] += 1
+    counts[0, counts.sum(axis=0) == 0] += 1
+    return _table(counts)
+
+
+def test_fit_matches_out_of_place_residuals_bitwise():
+    rng = np.random.default_rng(83)
+    tables = [random_table(rng) for _ in range(30)]
+    tables += [_poisson_table(rng, n, m, 0.7) for n, m in ((60, 41), (41, 60), (120, 200))]
+    for table in tables:
+        for oriented in (table, _transposed(table)):  # each fits in both orientations
+            model, reference = ca.fit_ca(oriented), _out_of_place_fit(oriented)
+            assert model.row_labels == reference.row_labels
+            assert model.total_inertia == reference.total_inertia
+            for name in ("row_masses", "col_masses", "singular_values", "row_coords",
+                         "col_coords", "row_contrib", "col_contrib"):
+                assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+
+
+def test_fit_peak_memory_is_one_residual_array_plus_the_svd():
+    n, m = 634, 771
+    table = _poisson_table(np.random.default_rng(89), n, m, 1.0)
+    tracemalloc.start()
+    try:
+        ca.fit_ca(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 6.5 n x m float arrays (measured): S beside the SVD's input
+    # copy, factors and workspace.  P, expected and S live together before
+    # the SVD would measure about 10.5.
+    assert peak < 8 * n * m * 8
 
 
 def test_fit_is_deterministic():

@@ -215,8 +215,8 @@ def test_constrained_memory_is_bounded_by_one_row_block():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One 32 MiB block of differences plus the 1.3 MB cost matrix; a second
-    # live block or the n x n x d tensor (490 MB) would exceed this.
+    # One 1 MiB block of differences and its row sums (about 2.4 MB
+    # measured); the n x n x d tensor (490 MB) would exceed this.
     assert peak < 50e6
 
 
@@ -308,9 +308,23 @@ def test_constrained_memory_is_linear_in_points():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The 8 MiB difference buffer and its 1.7 MB of row sums (about 10.4 MB
+    # The 1 MiB difference buffer and its 0.2 MB of row sums (about 2.6 MB
     # measured); an n x n cost matrix alone is 128 MB.
     assert peak < 32e6
+
+
+def test_constrained_peak_memory_is_one_small_block():
+    rng = np.random.default_rng(73)
+    for n, d in ((1267, 5), (393, 380)):
+        cloud = PointCloud(tuple(f"p{i}" for i in range(n)), rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            clustering.constrained_complete_link(cloud)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.6 and 2.4 MB measured; an 8 MiB block would measure 10.5 and 9.6 MB.
+        assert peak < 4e6, (n, d)
 
 
 def _cubic_ward(coords, masses):

@@ -86,6 +86,22 @@ def test_cell_counts_reject_cells_they_cannot_represent():
     assert table.column_totals().tolist() == [2, 5]
 
 
+def test_table_rejects_counts_that_are_not_whole_numbers():
+    rows, cols = ("a",), ("x", "y")
+    for counts in ([[1.7, 0.4]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[2.0, 0.5]], [[1e30, 1.0]]):
+        with pytest.raises(ValueError, match="counts must be whole numbers"):
+            corpus.CellCounts.of(rows, cols, np.array(counts))
+    with pytest.raises(ValueError, match="counts must be whole numbers"):
+        corpus.CellCounts(rows, cols, [0], [1.5])
+    with pytest.raises(ValueError, match="cells must be whole numbers"):
+        corpus.CellCounts(rows, cols, [0.5], [1])
+    # Whole floats are counts.
+    table = corpus.CellCounts.of(rows, cols, np.array([[2.0, 0.0]]))
+    assert table.cells.tolist() == [0] and table.counts.tolist() == [2]
+    assert table.counts.dtype == np.int64
+    assert corpus.CellCounts(rows, cols, [1.0], [3.0]).dense().tolist() == [[0, 3]]
+
+
 def test_table_counts_are_read_only():
     table = corpus.CellCounts.of(("r",), ("a",), np.array([[1]]))
     for array in (table.cells, table.counts, table.dense()):
@@ -273,6 +289,18 @@ def test_table_csv_round_trip():
 def test_table_from_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="doc_id"):
         corpus.table_from_csv("label,a\nr,1\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("a,1,2\nb\n", "line 3: expected 2 counts after the label, got 0"),
+    ("a,1,2,3\nb,0,1\n", "line 2: expected 2 counts after the label, got 3"),
+    ("a,1,2\n\nb,z,1\n", "line 4: invalid literal for int() with base 10: 'z'"),
+    ("a,1,2\nb,1.5,1\n", "line 3: invalid literal for int() with base 10: '1.5'"),
+])
+def test_table_from_csv_names_the_line_of_a_bad_row(body, message):
+    with pytest.raises(ValueError) as info:
+        corpus.table_from_csv("doc_id,x,y\n" + body)
+    assert str(info.value) == message
 
 
 # The loop versions that the numpy paths replaced, kept as exact oracles.

@@ -507,6 +507,24 @@ def test_segment_range_far_past_the_text_costs_no_memory_per_paragraph(data_dir,
     assert traced_peak("118-200000") < 2 * traced_peak("118-123")
 
 
+def test_write_encodes_whole_text_in_slices(tmp_path):
+    result = pipeline.PipelineResult(out_dir=tmp_path)
+    text = "r1,0.123456789012,-4.5e-07\n" * 300_000  # 8.1 MB
+    tracemalloc.start()
+    try:
+        pipeline._write(result, "row_coords", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.files["row_coords"].read_bytes() == text.encode()
+    # One slice and its bytes; encoding the whole text at once copies 8 MB.
+    assert peak < 3e6
+    # Characters of two and three UTF-8 bytes across the slice boundaries.
+    text = "caf\u00e9,\u2014,1\n" * (pipeline._WRITE_SLICE // 5)
+    pipeline._write(result, "col_coords", text)
+    assert result.files["col_coords"].read_bytes() == text.encode()
+
+
 def test_paragraph_unit_runs_end_to_end(mini):
     root, write_config = mini
     config = pipeline.parse_config(write_config(unit="paragraph", cut=2))
