@@ -10,8 +10,8 @@ from typing import Iterable, Iterator, Sequence
 
 
 def lines(path: str | Path):
-    """Yield ``(line number, text)`` for each line left after ``#`` comments and blanks."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    """Yield ``(line number, text)`` for each line left after ``#`` comments, blanks and a BOM."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line

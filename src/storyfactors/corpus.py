@@ -39,10 +39,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _whole(name: str, value) -> np.ndarray:
-    """``value`` as int64, refusing floats that are not whole numbers int64 holds."""
+    """``value`` as int64, refusing values that are not whole numbers int64 holds."""
     array = np.asarray(value)
-    if array.dtype.kind == "f":  # nan compares false, and inf fails the bound
-        if not ((np.trunc(array) == array) & (np.abs(array) < 2.0**63)).all():
+    if array.dtype.kind in "fuO":  # floats, uint64 and Python ints
+        with np.errstate(invalid="ignore"):  # nan and inf // 1 are nan, equal to nothing
+            whole = (array // 1 == array) & (np.abs(array) < 2**63)
+        if not whole.all():
             raise ValueError(f"{name} must be whole numbers")
     return np.asarray(array, dtype=np.int64)
 

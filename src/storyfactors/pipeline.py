@@ -300,7 +300,7 @@ def _segment_ids(config: PipelineConfig, result: PipelineResult) -> tuple[np.nda
 # (as storybench/spans.py installs them) see every call.
 
 def _segment(config: PipelineConfig, result: PipelineResult) -> str:
-    text = Path(config.input_text).read_text(encoding="utf-8")
+    text = Path(config.input_text).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     abbreviations = (corpus.load_word_list(config.abbreviations)
                      if config.abbreviations else frozenset())
     records = textprep.segment_text(text, abbreviations=abbreviations)
@@ -469,12 +469,12 @@ def _plot(config: PipelineConfig, result: PipelineResult) -> str:
     aggregated = "segments" in result.files
     if aggregated:
         _write(result, "plane_rows", plots.render_factor_plane(
-            model, ax, ay, side="row", selection=("labels", list(table.row_labels)),
+            model, ax, ay, side="row", labels=table.row_labels,
             trajectory=True, title="segment trajectory"))
     top_k = min(config.plot_top_k, len(table.col_labels))
+    words = [word for word, _ in ca.top_contributors(model, (ax, ay), top_k, side="col")]
     _write(result, "plane_cols", plots.render_factor_plane(
-        model, ax, ay, side="col", selection=("top", top_k),
-        title=f"top {top_k} contributing words"))
+        model, ax, ay, side="col", labels=words, title=f"top {top_k} contributing words"))
     _write(result, "tree", plots.render_dendrogram(
         result.dendrogram, cut=result.partition.k, title=f"{config.cluster} dendrogram"))
     return f"plot: {3 if aggregated else 2} SVG files"

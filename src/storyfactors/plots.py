@@ -2,16 +2,19 @@
 
 Both renderers are pure functions from fitted objects to an SVG document
 string: no randomized layout, no timestamps, no external resources, so a
-rerun over identical inputs is byte-identical.  Geometry is kept simple
-on purpose — the plots are batch deliverables, not an interactive
-surface.
+rerun over identical inputs is byte-identical.  They draw the points they
+are given and rank nothing: the words that contribute most to a plane
+come from :func:`ca.top_contributors`.  Geometry is kept simple on
+purpose — the plots are batch deliverables, not an interactive surface.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .ca import CAModel, top_contributors
+from .ca import CAModel
 from .clustering import Dendrogram
 
 # Point/label styling shared by both renderers.
@@ -80,36 +83,6 @@ def _axis_percent(model: CAModel, axis: int) -> float:
     return float(ev[axis - 1] / ev.sum() * 100.0)
 
 
-def _select_points(
-    model: CAModel,
-    axis_x: int,
-    axis_y: int,
-    side: str,
-    selection: tuple,
-) -> list[str]:
-    """Resolve a selection rule to a list of point labels (model order)."""
-    labels = model.side(side)[0]
-    if not isinstance(selection, tuple) or len(selection) != 2:
-        raise ValueError("selection must be ('top', k) or ('labels', seq)")
-    kind, arg = selection
-    if kind == "top":
-        k = int(arg)
-        if k <= 0:
-            raise ValueError("empty selection: top-k requires k >= 1")
-        chosen = {lab for lab, _ in top_contributors(model, (axis_x, axis_y), k, side)}
-        return [lab for lab in labels if lab in chosen]
-    if kind == "labels":
-        wanted = list(arg)
-        if not wanted:
-            raise ValueError("empty selection: no labels given")
-        order = {lab: i for i, lab in enumerate(labels)}
-        missing = [lab for lab in wanted if lab not in order]
-        if missing:
-            raise ValueError(f"unknown {side} labels: {', '.join(missing)}")
-        return sorted(wanted, key=order.__getitem__)
-    raise ValueError(f"unknown selection kind {kind!r}")
-
-
 def _place_labels(anchors: list[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
     """Stack overlapping labels vertically (the only collision handling)."""
     placed: list[tuple[float, float, str]] = []
@@ -128,27 +101,33 @@ def render_factor_plane(
     axis_x: int = 1,
     axis_y: int = 2,
     side: str = "col",
-    selection: tuple = ("top", 20),
+    *,
+    labels: Sequence[str],
     trajectory: bool = False,
     title: str | None = None,
 ) -> str:
     """Scatter a factor plane as an SVG document string.
 
-    ``selection`` picks which points of ``side`` are drawn and labelled:
-    ``('top', k)`` for the k points contributing most to the two displayed
-    axes, or ``('labels', sequence)`` for an explicit list.  With
-    ``trajectory`` the row points are additionally joined, in row order,
-    by arrows — for tables whose rows are chronological segments.
+    The points of ``side`` named in ``labels`` are drawn and labelled, in
+    the model's order; the renderer ranks nothing (the words contributing
+    most to a plane are :func:`ca.top_contributors`).  With ``trajectory``
+    the row points are additionally joined, in row order, by arrows — for
+    tables whose rows are chronological segments.
     """
-    labels, coords, _ = model.side(side)
+    side_labels, coords, _ = model.side(side)
     for axis in (axis_x, axis_y):
         if not 1 <= axis <= model.n_axes:
             raise ValueError(f"axis {axis} outside fitted range 1..{model.n_axes}")
     if axis_x == axis_y:
         raise ValueError("axis_x and axis_y must differ")
+    if not labels:
+        raise ValueError("empty selection: no labels given")
+    index = {lab: i for i, lab in enumerate(side_labels)}
+    missing = [lab for lab in labels if lab not in index]
+    if missing:
+        raise ValueError(f"unknown {side} labels: {', '.join(missing)}")
 
-    chosen = _select_points(model, axis_x, axis_y, side, selection)
-    index = {lab: i for i, lab in enumerate(labels)}
+    chosen = sorted(labels, key=index.__getitem__)
     pts = np.array([[coords[index[lab], axis_x - 1], coords[index[lab], axis_y - 1]]
                     for lab in chosen])
     traj = model.row_coords[:, [axis_x - 1, axis_y - 1]] if trajectory else None

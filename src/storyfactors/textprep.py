@@ -106,7 +106,7 @@ def segment_text(raw_text: str, abbreviations: frozenset[str] = frozenset()) -> 
 
 def load_speaker_map(path: str | Path) -> dict[int, str]:
     """Read a ``paragraph_id,label`` CSV into a dict."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         header, rows = read_csv(handle.read())
     if header != ["paragraph_id", "label"]:
         raise ValueError(f"speaker map header must be paragraph_id,label, got {header!r}")

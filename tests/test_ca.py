@@ -57,6 +57,10 @@ def test_chi2_row_distance_oracle():
         np.sqrt(3136 / 3375), abs=1e-14
     )
     assert ca.chi2_row_distance(table, 0, 0) == 0.0
+    with_empty = _table([[2, 1], [0, 0]])
+    for i, i2 in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="^zero-sum row: 'r1'$"):
+            ca.chi2_row_distance(with_empty, i, i2)
 
 
 def test_perfect_block_table_keeps_sigma_one():
@@ -384,7 +388,7 @@ def test_coordinate_and_contribution_csv_layout():
                  id="top_contributors"),
     pytest.param(lambda model, side: ca.project_supplementary(model, [1.0, 2.0, 3.0], side=side),
                  id="project_supplementary"),
-    pytest.param(lambda model, side: plots.render_factor_plane(model, side=side),
+    pytest.param(lambda model, side: plots.render_factor_plane(model, side=side, labels=["r0"]),
                  id="render_factor_plane"),
 ])
 def test_unknown_side_is_rejected(call):

@@ -100,6 +100,22 @@ def test_table_rejects_counts_that_are_not_whole_numbers():
     assert table.cells.tolist() == [0] and table.counts.tolist() == [2]
     assert table.counts.dtype == np.int64
     assert corpus.CellCounts(rows, cols, [1.0], [3.0]).dense().tolist() == [[0, 3]]
+    # Integers past int64 (a uint64 array, or Python ints in an object array)
+    # are refused, not wrapped or overflowed.
+    for big in ([2**63], [2**64], [-2**63 - 1], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^counts must be whole numbers$"):
+            corpus.CellCounts.of(rows, cols[:1], [big])
+        with pytest.raises(ValueError, match="^counts must be whole numbers$"):
+            corpus.CellCounts(rows, cols, [0], big)
+        with pytest.raises(ValueError, match="^cells must be whole numbers$"):
+            corpus.CellCounts(rows, cols, big, [1])
+    with pytest.raises(ValueError, match="^counts must be whole numbers$"):
+        corpus.CellCounts.of(rows, cols, [[2**64, 1]])  # an object array
+    # The largest int64 is still a count, as are Python ints in an object array.
+    assert corpus.CellCounts.of(rows, cols, [[2**63 - 1, 0]]).total == 2**63 - 1
+    assert corpus.CellCounts(rows, cols, [0], [2**63 - 1]).total == 2**63 - 1
+    table = corpus.CellCounts.of(rows, cols, np.array([[3, 1]], dtype=object))
+    assert table.counts.tolist() == [3, 1] and table.counts.dtype == np.int64
 
 
 def test_table_counts_are_read_only():

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -129,18 +130,20 @@ def test_parse_config_names_key_and_line_of_bad_value(mini, key, value):
 
 def test_config_validate_catches_bad_values(mini):
     _, write_config = mini
-    cases = {
-        "unit": "chapter",
-        "cluster": "kmeans",
-        "cut": "soft",
-        "vtest_alpha": "1.5",
-        "plot_axes": "2,2",
-        "axes": "-1",
-        "min_doc_count": "0",
-        "plot_top_k": "0",
-    }
-    for key, value in cases.items():
-        with pytest.raises(ValueError):
+    cases = [
+        ("unit", "chapter", "unit must be one of ('sentence', 'paragraph'), got 'chapter'"),
+        ("cluster", "kmeans", "cluster must be one of ('ward', 'constrained'), got 'kmeans'"),
+        ("cut", "soft", "cut must be 'max-gap' or an integer, got 'soft'"),
+        ("cut", "0", "cut k must be >= 1"),
+        ("segment_by", "chapter", "segment_by must be 'paragraph' or 'row', got 'chapter'"),
+        ("vtest_alpha", "1.5", "vtest_alpha must lie strictly between 0 and 1"),
+        ("plot_axes", "2,2", "plot_axes must name two distinct axes, got (2, 2)"),
+        ("axes", "-1", "axes must be >= 0 (0 selects the full factor space)"),
+        ("min_doc_count", "0", "min_doc_count must be a positive integer"),
+        ("plot_top_k", "0", "plot_top_k must be >= 1"),
+    ]
+    for key, value, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pipeline.parse_config(write_config(**{key: value}))
 
 
@@ -471,6 +474,8 @@ def test_segment_sizes_must_sum_to_the_rows_and_be_positive(mini):
     root, write_config = mini
     assert _aggregate_error(root, write_config(segment_sizes="4,4", segment_by="row")) == \
         "[aggregate] segment sizes sum to 8, expected 9"
+    assert _aggregate_error(root, write_config(segment_sizes="1,1")) == \
+        "[aggregate] segment sizes cover paragraphs 1..2 but the table reaches paragraph 3"
     with pytest.raises(ValueError, match="^segment sizes must be positive$"):
         pipeline.parse_config(write_config(segment_sizes="9,0", segment_by="row"))
 
@@ -533,6 +538,64 @@ def test_paragraph_unit_runs_end_to_end(mini):
     assert result.table.row_labels == ("1", "2", "3")
     assert result.table.col_labels == ("letter", "room", "police", "poet")
     assert result.partition.k == 2
+    # Segment sizes count the paragraph rows themselves.
+    segmented = pipeline.run_pipeline(
+        pipeline.parse_config(write_config("s.cfg", unit="paragraph", segment_sizes="1,2", cut=2)),
+        out_dir=root / "segments", upto="aggregate")
+    assert segmented.summary[-1] == "aggregate: 2 segments"
+    assert segmented.files["segments"].read_text() == \
+        corpus.table_to_csv(corpus.aggregate(result.table, [1, 2, 2]))
+    assert _aggregate_error(root, write_config("short.cfg", unit="paragraph", segment_sizes="1,1")) \
+        == "[aggregate] segment sizes cover paragraphs 1..2 but the table reaches paragraph 3"
+
+
+def test_word_plane_draws_the_top_contributors(mini):
+    root, write_config = mini
+    config = pipeline.parse_config(write_config(plot_top_k=3))
+    result = pipeline.run_pipeline(config, out_dir=root / "out")
+    svg = ET.fromstring(result.files["plane_cols"].read_text())
+    drawn = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")
+             if text.get("fill") == "#d62728"]  # the word points' colour
+    top = [word for word, _ in ca.top_contributors(result.model, (1, 2), 3, side="col")]
+    assert len(drawn) == 3 and sorted(drawn) == sorted(top)
+    assert "top 3 contributing words" in result.files["plane_cols"].read_text()
+
+
+def test_plot_axes_that_collapse_are_a_plot_error(mini):
+    root, write_config = mini
+    # Three segments give two fitted axes: axes 2 and 3 both clamp to axis 2.
+    config = pipeline.parse_config(write_config(segment_ranges="1-1,2-2,3-3", cut=2,
+                                                plot_axes="2,3"))
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(config, out_dir=root / "out")
+    assert excinfo.value.stage == "plot"
+    assert str(excinfo.value) == ("[plot] cannot draw a plane: axes (2, 3) collapse onto "
+                                  "axis 2 in a model with 2 fitted axes")
+    assert list((root / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["config", "story.txt", "stop.txt", "lexicon.txt",
+                                  "abbreviations.txt", "speakers.csv", "seg.csv"])
+def test_byte_order_mark_changes_no_result(mini, kind):
+    # Some editors start a UTF-8 file with U+FEFF; every input reads the same with it.
+    root, write_config = mini
+    (root / "story.txt").write_text(STORY.replace("A poet sees", "Mr. Poe sees"))
+    (root / "stop.txt").write_text("poet\nthe\n")  # each list's first entry counts
+    (root / "lexicon.txt").write_text("\n".join(VOCAB) + "\n")
+    (root / "abbreviations.txt").write_text("Mr\n")
+    (root / "speakers.csv").write_text("paragraph_id,label\n1,NARRATOR\n2,G\n3,DUPIN\n")
+    (root / "seg.csv").write_text("".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10)))
+    config = write_config(lexicon="lexicon.txt", abbreviations="abbreviations.txt",
+                          speakers="speakers.csv", segment_file="seg.csv", cut=2)
+
+    def run(out):
+        result = pipeline.run_pipeline(pipeline.parse_config(config), out_dir=root / out)
+        return result.summary, {p.name: p.read_bytes() for p in (root / out).iterdir()}
+
+    plain = run("plain")
+    path = config if kind == "config" else root / kind
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run("bom") == plain
 
 
 def test_speaker_annotation_flows_into_sentences_csv(mini):

@@ -1,4 +1,4 @@
-"""SVG renderers: well-formedness, selection rules, layout invariants."""
+"""SVG renderers: well-formedness, the labels drawn, layout invariants."""
 
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
@@ -26,6 +26,11 @@ def _model(rows=12, cols=60, seed=4):
     return ca.fit_ca(table)
 
 
+def _top(model, k, axes=(1, 2), side="col"):
+    """The labels of the k points contributing most to ``axes``, as the word plane gets them."""
+    return [label for label, _ in ca.top_contributors(model, axes, k, side)]
+
+
 def _constrained_dendrogram(n=10, seed=6):
     rng = np.random.default_rng(seed)
     coords = np.cumsum(rng.uniform(0.5, 2.0, size=(n, 2)), axis=0)
@@ -34,20 +39,23 @@ def _constrained_dendrogram(n=10, seed=6):
 
 
 def test_factor_plane_is_well_formed_xml():
-    svg = plots.render_factor_plane(_model(), title="plane & <test>")
+    model = _model()
+    svg = plots.render_factor_plane(model, labels=_top(model, 20), title="plane & <test>")
     root = ET.fromstring(svg)
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_factor_plane_has_no_external_references():
-    svg = plots.render_factor_plane(_model())
+    model = _model()
+    svg = plots.render_factor_plane(model, labels=_top(model, 20))
     assert svg.count("http") == 1  # only the xmlns declaration
     assert "href" not in svg
     assert "url(#arrow)" not in svg  # no trajectory, no arrows
 
 
 def test_top_k_selection_draws_k_points():
-    svg = plots.render_factor_plane(_model(), selection=("top", 40))
+    model = _model()
+    svg = plots.render_factor_plane(model, labels=_top(model, 40))
     assert svg.count("<circle") == 40
     # 40 point labels plus the two axis annotations.
     assert svg.count("<text") == 42
@@ -55,30 +63,26 @@ def test_top_k_selection_draws_k_points():
 
 def test_top_k_larger_than_vocabulary_draws_everything():
     model = _model(cols=6)
-    svg = plots.render_factor_plane(model, selection=("top", 99))
+    svg = plots.render_factor_plane(model, labels=_top(model, 99))
     assert svg.count("<circle") == 6
 
 
 def test_trajectory_draws_arrows_between_consecutive_rows():
     model = _model(rows=8, cols=12)
-    svg = plots.render_factor_plane(
-        model, side="col", selection=("top", 5), trajectory=True
-    )
+    svg = plots.render_factor_plane(model, side="col", labels=_top(model, 5), trajectory=True)
     assert svg.count('marker-end="url(#arrow)"') == 7
     assert svg.count("<circle") == 5 + 8  # word points plus segment points
 
 
 def test_row_side_trajectory_does_not_duplicate_row_points():
     model = _model(rows=8, cols=12)
-    svg = plots.render_factor_plane(
-        model, side="row", selection=("labels", model.row_labels), trajectory=True
-    )
+    svg = plots.render_factor_plane(model, side="row", labels=model.row_labels, trajectory=True)
     assert svg.count("<circle") == 8
 
 
 def test_axis_annotations_show_inertia_percent():
     model = _model()
-    svg = plots.render_factor_plane(model, axis_x=1, axis_y=2)
+    svg = plots.render_factor_plane(model, axis_x=1, axis_y=2, labels=_top(model, 20))
     ev = model.singular_values**2
     pct = 100.0 * ev[0] / ev.sum()
     assert f"factor 1 ({pct:.1f}%)" in svg
@@ -86,23 +90,21 @@ def test_axis_annotations_show_inertia_percent():
 
 def test_selection_rules():
     model = _model(cols=8)
-    top = plots._select_points(model, 1, 2, "col", ("top", 3))
+    top = _top(model, 3)
     assert len(top) == 3
     score = model.col_contrib[:, 0] + model.col_contrib[:, 1]
     best = model.col_labels[int(np.argmax(score))]
     assert best in top
-    # Model order is preserved.
-    assert top == [lab for lab in model.col_labels if lab in top]
-
-    explicit = plots._select_points(
-        model, 1, 2, "col", ("labels", [model.col_labels[4], model.col_labels[1]])
-    )
-    assert explicit == [model.col_labels[1], model.col_labels[4]]
-
+    # The given labels are drawn in model order, whatever order they come in.
+    labels = model.col_labels
+    drawn = plots.render_factor_plane(model, labels=[labels[1], labels[4]])
+    assert plots.render_factor_plane(model, labels=[labels[4], labels[1]]) == drawn
+    assert drawn.count("<circle") == 2
+    assert f">{labels[1]}</text>" in drawn and f">{labels[4]}</text>" in drawn
 
 
 def _old_top_selection(model, axis_x, axis_y, side, k):
-    """The top-k rule as plots ranked it before it called ca.top_contributors."""
+    """The top-k rule as plots ranked it before the ranking moved to ca.top_contributors."""
     labels, _, contrib = model.side(side)
     score = contrib[:, axis_x - 1] + contrib[:, axis_y - 1]
     order = sorted(range(len(labels)), key=lambda i: (-score[i], labels[i]))
@@ -127,38 +129,40 @@ def test_top_selection_matches_top_contributors_ranking():
         for side in ("row", "col"):
             for k in (1, 3, 50):
                 for axes in ((ax, ay), (ay, ax)):
-                    assert (plots._select_points(model, *axes, side, ("top", k))
-                            == _old_top_selection(model, *axes, side, k))
+                    # What the word plane draws: the k labels, in model order.
+                    top = set(_top(model, k, axes, side))
+                    drawn = [label for label in model.side(side)[0] if label in top]
+                    assert drawn == _old_top_selection(model, *axes, side, k)
+
 
 def test_selection_validation():
     model = _model(cols=8)
-    with pytest.raises(ValueError, match="empty selection"):
-        plots.render_factor_plane(model, selection=("top", 0))
-    with pytest.raises(ValueError, match="empty selection"):
-        plots.render_factor_plane(model, selection=("labels", []))
-    with pytest.raises(ValueError, match="unknown col labels: nope"):
-        plots.render_factor_plane(model, selection=("labels", ["nope"]))
-    with pytest.raises(ValueError, match="selection"):
-        plots.render_factor_plane(model, selection=("best", 3))
-    with pytest.raises(ValueError, match=r"^selection must be \('top', k\) or \('labels', seq\)$"):
-        plots.render_factor_plane(model, selection=["top", 3])
+    with pytest.raises(ValueError, match="^empty selection: no labels given$"):
+        plots.render_factor_plane(model, labels=[])
+    with pytest.raises(ValueError, match="^unknown col labels: nope$"):
+        plots.render_factor_plane(model, labels=["nope"])
+    with pytest.raises(ValueError, match="^unknown row labels: nope, word01$"):
+        plots.render_factor_plane(model, side="row", labels=["s0", "nope", "word01"])
 
 
 def test_axis_and_side_validation():
     model = _model(cols=8)
+    labels = model.col_labels[:3]
     with pytest.raises(ValueError, match="outside fitted range"):
-        plots.render_factor_plane(model, axis_x=0)
+        plots.render_factor_plane(model, axis_x=0, labels=labels)
     with pytest.raises(ValueError, match="outside fitted range"):
-        plots.render_factor_plane(model, axis_y=model.n_axes + 1)
+        plots.render_factor_plane(model, axis_y=model.n_axes + 1, labels=labels)
     with pytest.raises(ValueError, match="must differ"):
-        plots.render_factor_plane(model, axis_x=2, axis_y=2)
+        plots.render_factor_plane(model, axis_x=2, axis_y=2, labels=labels)
     with pytest.raises(ValueError, match="side"):
-        plots.render_factor_plane(model, side="diagonal")
+        plots.render_factor_plane(model, side="diagonal", labels=labels)
 
 
 def test_rendering_is_deterministic():
     model = _model()
-    assert plots.render_factor_plane(model) == plots.render_factor_plane(model)
+    labels = _top(model, 20)
+    assert (plots.render_factor_plane(model, labels=labels)
+            == plots.render_factor_plane(model, labels=labels))
     dendrogram = _constrained_dendrogram()
     assert plots.render_dendrogram(dendrogram) == plots.render_dendrogram(dendrogram)
 
