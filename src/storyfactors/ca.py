@@ -16,7 +16,10 @@ genuine sigma = 1 axis (perfectly separated block tables) is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cache
+from itertools import islice
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +74,13 @@ class CAModel:
         raise ValueError(f"unknown side {name!r}")
 
 
+def _nonzero_margin(sums: np.ndarray, labels: tuple[str, ...], what: str) -> np.ndarray:
+    """``sums``, or a ``what: 'label'`` error naming the first zero margin."""
+    if (sums == 0).any():
+        raise ValueError(f"{what}: {labels[int(np.argmax(sums == 0))]!r}")
+    return sums
+
+
 def _orientation_key(row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> tuple:
     return (len(row_labels), len(col_labels), row_labels, col_labels)
 
@@ -88,12 +98,8 @@ def fit_ca(table: CellCounts) -> CAModel:
     n, m = counts.shape
     if n < 2 or m < 2:
         raise ValueError(f"CA needs at least a 2x2 table, got {n}x{m}")
-    row_sums = counts.sum(axis=1)
-    col_sums = counts.sum(axis=0)
-    if (row_sums == 0).any():
-        raise ValueError(f"zero row: {table.row_labels[int(np.argmax(row_sums == 0))]!r}")
-    if (col_sums == 0).any():
-        raise ValueError(f"zero column: {table.col_labels[int(np.argmax(col_sums == 0))]!r}")
+    row_sums = _nonzero_margin(counts.sum(axis=1), table.row_labels, "zero row")
+    col_sums = _nonzero_margin(counts.sum(axis=0), table.col_labels, "zero column")
     rows, cols = table.row_labels, table.col_labels
     transposed = _orientation_key(cols, rows) < _orientation_key(rows, cols)
     if transposed:  # the integer margins are exact, so swapping them is too
@@ -155,12 +161,14 @@ def chi2_row_distance(table: CellCounts, i: int, i2: int) -> float:
 
     d^2(i,i') = sum_j (1/c_j) (p_ij/r_i - p_i'j/r_i')^2; equals the
     Euclidean distance between full-dimensional principal coordinates.
+    A zero column makes the distance undefined and is rejected, as in
+    :func:`fit_ca`.
     """
     counts = table.dense()
     for idx in (i, i2):
         if counts[idx].sum() == 0:
             raise ValueError(f"zero-sum row: {table.row_labels[idx]!r}")
-    c = counts.sum(axis=0) / table.total
+    c = _nonzero_margin(counts.sum(axis=0), table.col_labels, "zero column") / table.total
     profile_a = counts[i] / counts[i].sum()
     profile_b = counts[i2] / counts[i2].sum()
     return float(np.sqrt(np.sum((profile_a - profile_b) ** 2 / c)))
@@ -243,8 +251,159 @@ def contributions_csv(model: CAModel, side: str = "row") -> str:
     return _matrix_csv(labels, contrib, model.n_axes)
 
 
+# The coordinate and contribution matrices are written by a numpy formatter
+# whose bytes are those of format(v, ".12g").  A cell's text is
+# digits[0..X] "." digits[X+1..] when its decimal exponent X is in -4..11,
+# and d "." ddd "e" X otherwise, with the 12 significant digits rounded
+# correctly and trailing zeros dropped.  A cell is decided here only when
+# those digits provably come out right; _fmt (CPython's dtoa) writes every
+# other cell.  Each cell goes into a 24-byte slot, NUL where it has no byte:
+#
+#     bytes 0-6    ",", "-" if negative, "0.0.." if -4 <= X < 0 (right-justified)
+#     bytes 7-19   the digits, with a "." after digit X, or after digit 0
+#     bytes 20-23  "e+XX" or "e-XX" in the exponent layout
+#
+# and bytes.translate deletes the NUL bytes.  The NULs of a slot's end and
+# the next slot's start form one run, which translate passes quickly.
+_SLOT = 24  # the longest cell, ",-0.000123456789012", has 19 bytes
+# s = fl(|x| * 10**(11 - X)) is one correctly rounded product of exact
+# operands (10**k is exact in float64 up to k = 22), and s < 1e12 < 2**40
+# has an ulp of at most 2**-13, so s is within 2**-14 of the exact product.
+# Where rint(s) is nearer to s than 0.5 - 2**-14, it is the integer nearest
+# to the exact product, and no tie is possible.
+_TIE_MARGIN = 2.0**-14
+# The writer's arrays take about 90 bytes per cell (its tracemalloc peak
+# over one block).  A block of 512 KB of them stays in cache, and what it
+# leaves resident stays small beside the output string.
+_CELL_BYTES = 90
+_BLOCK_BYTES = 512 << 10
+_U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
+
+
+def _le(data: bytes) -> int:
+    return int.from_bytes(data, "little")
+
+
+@cache
+def _slot_tables() -> SimpleNamespace:
+    """Lookup tables by 4-digit group, by e = X + 12 and by digit layout.
+
+    Built on first use, so that importing the package does not pay for them.
+    """
+    group = ("%04d" * 10000 % tuple(range(10000))).encode()
+    chars = np.frombuffer(group, "<u4").astype("<u8")  # the 4 digit chars of 0..9999
+    nonzero = np.frombuffer(group, np.uint8).reshape(10000, 4) != ord("0")
+    # index of a group's last nonzero digit, and -128 for 0000 so it never counts
+    last_digit = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero[:, ::-1], axis=1), -128)
+    exponents = range(-12, 13)
+    fixed = [-4 <= x < 12 for x in exponents]
+    prefixes = [b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in exponents]
+    # By layout c = 13 * last + p, over the 16 bytes of the digits: keep
+    # digits 0..last, move those after digit p on by one byte and put a "."
+    # into the gap; p = 12 means no ".".
+    moves, stays, dots = [], [], []
+    for last in range(12):
+        for p in range(13):
+            move = b"\0" * (p + 1) + b"\xff" * (last - p) if p < last else b""
+            moves.append(_le(move.ljust(16, b"\0")))
+            stays.append(_le((b"\xff" * (min(p, last) + 1)).ljust(16, b"\0")))
+            dots.append(_le((b"\0" * (p + 1) + b".").ljust(16, b"\0")) if p < 12 else 0)
+
+    def words(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([v & (2**64 - 1) for v in values], "<u8"),
+                np.array([v >> 64 for v in values], "<u8"))
+
+    return SimpleNamespace(
+        chars=chars, last_digit=last_digit.astype(np.int8),
+        # 10**(11 - X), and 0 where that is inexact: s = 0 sends the cell to _fmt
+        pow10=np.array([float(10**(11 - x)) if abs(x) < 12 else 0.0 for x in exponents]),
+        # [25 * negative + e]: bytes 0-7 of the slot
+        head=np.array([_le((sign + prefix).rjust(7, b"\0") + b"\0")
+                       for sign in (b",", b",-") for prefix in prefixes], "<u8"),
+        tail=np.array([0 if f else _le(b"e%+03d" % x) for x, f in zip(exponents, fixed)], "<u4"),
+        int_digits=np.array([max(x, 0) if f else 0 for x, f in zip(exponents, fixed)], np.int8),
+        dot_after=np.array([(x if x >= 0 else 12) if f else 0 for x, f in zip(exponents, fixed)],
+                           np.int8),
+        stay=words(stays), move=words(moves), dot=words(dots))
+
+
+
+def _format_block(x: np.ndarray) -> bytearray:
+    """Rows of ``x`` as ``",v1,...,vK\n"`` lines, padded with NUL bytes."""
+    t = _slot_tables()
+    rows, K = x.shape
+    width = K * _SLOT + 8
+    buf = bytearray(rows * width)
+
+    def field(offset: int, dtype: str) -> np.ndarray:  # one field of every slot
+        return np.ndarray((rows, K), dtype, buf, offset, (width, _SLOT))
+
+    np.ndarray((rows,), np.uint8, buf, K * _SLOT, (width,))[:] = ord("\n")
+
+    a = np.abs(x)
+    fast = (a >= 1e-11) & (a < 1e12)  # excludes 0, inf and nan; keeps 10**(11 - X) exact
+    a = np.where(fast, a, 1.0)
+    e = np.log10(a)
+    e += 12
+    e = e.astype(np.intp)  # e = X + 12 in 0..24; rounding may make it one off
+    s = a * t.pow10[e]
+    N = np.rint(s)
+    # s outside [1e11, 1e12) means a wrong X; N == 1e12 is a carry into the
+    # next power of ten.  _fmt writes both.
+    fast &= (s >= 1e11) & (N < 1e12) & (np.abs(s - N) < 0.5 - _TIE_MARGIN)
+    n = np.where(fast, N, 1e11).astype(np.int64)
+    del a, s, N  # temporaries go as soon as they are used: _CELL_BYTES counts what is left
+
+    g0 = n // 100000000  # three 4-digit groups
+    n -= g0 * 100000000
+    g1 = n // 10000
+    g2 = n - g1 * 10000
+    del n
+    last_nonzero = np.maximum(np.maximum(t.last_digit[g0], t.last_digit[g1] + 4),
+                              t.last_digit[g2] + 8)
+    lo = t.chars[g0] | (t.chars[g1] << _U32)  # digits 0-7
+    hi = t.chars[g2]  # digits 8-11
+    del g0, g1, g2
+    # The layout c = 13 * last + p: the last digit written (a fixed layout
+    # keeps its integer digits, zero or not) and the digit "." follows.
+    p = t.dot_after[e]
+    p = np.where(last_nonzero > p, p, np.int8(12))  # 12: no "." without a digit after it
+    c = np.maximum(last_nonzero, t.int_digits[e]).astype(np.intp)
+    c *= 13
+    c += p
+    del p, last_nonzero
+
+    moved = lo & t.move[0][c]
+    # Each field's high bytes are NUL, and the next field overwrites them.
+    field(0, "<u8")[...] = t.head[e + 25 * (x < 0)]
+    field(7, "<u8")[...] = (lo & t.stay[0][c]) | (moved << _U8) | t.dot[0][c]
+    field(15, "<u8")[...] = ((hi & t.stay[1][c]) | ((hi & t.move[1][c]) << _U8)
+                             | (moved >> _U56) | t.dot[1][c])
+    field(20, "<u4")[...] = t.tail[e]
+
+    if not fast.all():
+        row, col = np.divmod(np.flatnonzero(~fast), K)
+        field(0, f"S{_SLOT}")[row, col] = [("," + _fmt(v)).encode() for v in x[row, col].tolist()]
+    return buf
+
+
+def _bodies(matrix: np.ndarray, step: int) -> Iterator[str]:
+    width = matrix.shape[1] * _SLOT + 8
+    for start in range(0, len(matrix), step):
+        buf = _format_block(np.asarray(matrix[start:start + step], dtype=np.float64))
+        for i in range(0, len(buf), width):
+            yield buf[i:i + width].translate(None, b"\0").decode("ascii")
+
+
 def _matrix_csv(labels: tuple[str, ...], matrix: np.ndarray, n_axes: int) -> str:
-    """Quote labels with csv; format each row of numbers with one template."""
-    template = ",%.12g" * n_axes + "\n"  # bytes of format(v, ".12g"), never quoted
-    return "".join(labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
-                                (template % tuple(row.tolist()) for row in matrix)))
+    """Quote labels with csv; format the numbers in blocks of rows."""
+    step = max(1, _BLOCK_BYTES // _CELL_BYTES // max(n_axes, 1))
+    rows = labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
+                        _bodies(matrix, step))
+    # CPython resizes a string that nothing else references in place, so
+    # appending block by block peaks at the output plus a block, where
+    # "".join(rows) would hold the output twice.
+    text = next(rows)
+    for _ in range(0, len(labels), step):
+        text += "".join(islice(rows, step))
+    return text

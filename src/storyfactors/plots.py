@@ -10,6 +10,7 @@ purpose — the plots are batch deliverables, not an interactive surface.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -108,11 +109,11 @@ def render_factor_plane(
 ) -> str:
     """Scatter a factor plane as an SVG document string.
 
-    The points of ``side`` named in ``labels`` are drawn and labelled, in
-    the model's order; the renderer ranks nothing (the words contributing
-    most to a plane are :func:`ca.top_contributors`).  With ``trajectory``
-    the row points are additionally joined, in row order, by arrows — for
-    tables whose rows are chronological segments.
+    The points of ``side`` named in ``labels`` (each at most once) are
+    drawn and labelled, in the model's order; the renderer ranks nothing
+    (the words contributing most to a plane are :func:`ca.top_contributors`).
+    With ``trajectory`` the row points are additionally joined, in row
+    order, by arrows — for tables whose rows are chronological segments.
     """
     side_labels, coords, _ = model.side(side)
     for axis in (axis_x, axis_y):
@@ -126,6 +127,9 @@ def render_factor_plane(
     missing = [lab for lab in labels if lab not in index]
     if missing:
         raise ValueError(f"unknown {side} labels: {', '.join(missing)}")
+    repeated = [lab for lab, count in Counter(labels).items() if count > 1]
+    if repeated:
+        raise ValueError(f"duplicate {side} labels: {', '.join(repeated)}")
 
     chosen = sorted(labels, key=index.__getitem__)
     pts = np.array([[coords[index[lab], axis_x - 1], coords[index[lab], axis_y - 1]]

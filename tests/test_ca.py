@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyfactors import ca, plots
+from storyfactors._formats import labelled_csv
 from storyfactors.corpus import CellCounts
 
 from conftest import random_table
@@ -61,6 +64,15 @@ def test_chi2_row_distance_oracle():
     for i, i2 in ((0, 1), (1, 0)):
         with pytest.raises(ValueError, match="^zero-sum row: 'r1'$"):
             ca.chi2_row_distance(with_empty, i, i2)
+
+
+def test_chi2_row_distance_rejects_a_zero_column():
+    # c_z = 0 would divide 0 by 0: nan and a RuntimeWarning, not a distance.
+    table = CellCounts.of(("a", "b"), ("x", "y", "z"), [[4, 1, 0], [2, 3, 0]])
+    with pytest.raises(ValueError, match="^zero column: 'z'$"):
+        ca.chi2_row_distance(table, 0, 1)
+    with pytest.raises(ValueError, match="^zero column: 'z'$"):
+        ca.fit_ca(table)
 
 
 def test_perfect_block_table_keeps_sigma_one():
@@ -418,3 +430,102 @@ def test_matrix_csv_matches_per_cell_formatting():
             matrix[0] = [np.inf, -0.0, np.nan, 1e16][:n_axes]
             matrix[1, 0] = 123456789012.5
         assert ca._matrix_csv(labels, matrix, n_axes) == _per_cell_matrix_csv(labels, matrix, n_axes)
+
+
+def _template_matrix_csv(labels, matrix, n_axes):
+    """Reference export: each row through one ",%.12g" template (CPython's dtoa)."""
+    template = ",%.12g" * n_axes + "\n"
+    return "".join(labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
+                                (template % tuple(row.tolist()) for row in matrix)))
+
+
+def _assert_writes_like_dtoa(values, n_axes):
+    matrix = np.asarray(values, dtype=np.float64).reshape(-1, n_axes)
+    labels = tuple(f"r{i}" for i in range(len(matrix)))
+    written = ca._matrix_csv(labels, matrix, n_axes).split("\n")
+    assert written == _template_matrix_csv(labels, matrix, n_axes).split("\n")
+
+
+# Raw float64 bit patterns: every biased exponent (0 = zero and subnormals,
+# 2047 = inf and nan) and, more often, those of 1e-12..1e13, where the
+# numpy path decides cells.
+_float_bits = st.builds(
+    lambda sign, exponent, mantissa: (sign << 63) | (exponent << 52) | mantissa,
+    st.integers(0, 1),
+    st.one_of(st.integers(0, 2047), st.integers(1023 - 40, 1023 + 44)),
+    st.one_of(st.integers(0, 2**52 - 1), st.sampled_from([0, 1, 2**51, 2**52 - 1])),
+)
+
+
+@given(st.lists(_float_bits, min_size=1, max_size=80), st.integers(1, 5), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_matches_dtoa_on_raw_bit_patterns(bits, n_axes, block_rows):
+    bits += [0] * (-len(bits) % n_axes)
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    with pytest.MonkeyPatch.context() as patch:  # several blocks of block_rows rows
+        patch.setattr(ca, "_BLOCK_BYTES", block_rows * n_axes * ca._CELL_BYTES)
+        _assert_writes_like_dtoa(values, n_axes)
+
+
+def _hard_values():
+    """Cells where 12-digit rounding or the %g layout is decided by a hair."""
+    rng = np.random.default_rng(20)
+    twelve_digit = [*rng.integers(10**11, 10**12, size=40).tolist(),
+                    10**11, 10**11 + 1, 10**12 - 2, 10**12 - 1]
+    exact = [float(f"{k}.5e{e}") for k in twelve_digit for e in range(-15, 6)]  # nearest to a tie
+    exact += [float(f"1e{e}") for e in range(-323, 309)]
+    exact += [float(f"999999999999.5e{e}") for e in range(-30, 20)]
+    exact += [float(f"{m}e{e}") for m in ("9.999999999995", "9.9999999999949", "99999999999.99")
+              for e in range(-20, 20)]  # round up to the next power of ten, or just not
+    exact += [1e-11, 1e12, 123456789012.5, 0.0001, 1e-5]
+    values = np.array(exact)
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    values = np.concatenate([values, -values, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    return values[: len(values) // 4 * 4]
+
+
+@pytest.mark.parametrize("block_rows", [None, 16], ids=["default_blocks", "16_row_blocks"])
+def test_matrix_csv_matches_dtoa_on_hard_values(block_rows, monkeypatch):
+    values = _hard_values()
+    if block_rows is not None:
+        monkeypatch.setattr(ca, "_BLOCK_BYTES", block_rows * 4 * ca._CELL_BYTES)
+    assert len(values) // 4 > ca._BLOCK_BYTES // ca._CELL_BYTES // 4  # more rows than a block
+    _assert_writes_like_dtoa(values, 4)
+
+
+@pytest.fixture(scope="module")
+def sentence_sized_model():
+    """A seeded CA model the size of the sentences_ward benchmark table."""
+    rng = np.random.default_rng(31)
+    counts = rng.poisson(0.05, size=(771, 616)) + (rng.random((771, 616)) < 0.004)
+    counts[counts.sum(axis=1) == 0, 0] += 1
+    counts[0, counts.sum(axis=0) == 0] += 1
+    return ca.fit_ca(_table(counts))
+
+
+def test_fast_path_decides_nearly_every_cell(sentence_sized_model, monkeypatch):
+    model = sentence_sized_model
+    template = {}
+    for side in ("row", "col"):
+        labels, coords, contrib = model.side(side)
+        template[side] = (_template_matrix_csv(labels, coords, model.n_axes),
+                          _template_matrix_csv(labels, contrib, model.n_axes))
+    calls = []
+    monkeypatch.setattr(ca, "_fmt", lambda value: calls.append(value) or format(value, ".12g"))
+    for side in ("row", "col"):
+        assert (ca.coordinates_csv(model, side), ca.contributions_csv(model, side)) == template[side]
+    cells = 2 * (model.row_coords.size + model.col_coords.size)
+    # Some contributions are below 1e-11, which only CPython formats.
+    assert 0 < len(calls) <= 0.01 * cells
+
+
+def test_matrix_csv_peaks_at_its_output_plus_a_block(sentence_sized_model):
+    tracemalloc.start()
+    try:
+        text = ca.coordinates_csv(sentence_sized_model, "row")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Rows joined into one string would hold the output twice at the end.
+    assert len(text) > 5 * 2**20
+    assert peak <= len(text) + 2 * 2**20

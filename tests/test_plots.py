@@ -145,6 +145,18 @@ def test_selection_validation():
         plots.render_factor_plane(model, side="row", labels=["s0", "nope", "word01"])
 
 
+def test_duplicate_labels_are_rejected():
+    # A label given twice would draw its point and its text twice, stacked.
+    model = ca.fit_ca(CellCounts.of(("a", "b", "c"), ("x", "y", "z"),
+                                    [[4, 1, 2], [2, 3, 1], [1, 1, 5]]))
+    with pytest.raises(ValueError, match="^duplicate col labels: x$"):
+        plots.render_factor_plane(model, labels=["x", "x", "y"])
+    with pytest.raises(ValueError, match="^duplicate row labels: c, a$"):
+        plots.render_factor_plane(model, side="row", labels=["c", "a", "c", "a", "a"])
+    svg = plots.render_factor_plane(model, labels=["x", "y"])
+    assert svg.count("<circle") == 2 and svg.count(">x</text>") == 1
+
+
 def test_axis_and_side_validation():
     model = _model(cols=8)
     labels = model.col_labels[:3]
