@@ -8,14 +8,18 @@ distance.  Both are monotone.  Ward updates a full n x n cost matrix by
 Lance-Williams and caches each row's nearest neighbour, so a merge is
 O(n); its memory is two n x n buffers while the costs are filled, one
 after.  Constrained complete link keeps only the chain of intervals and
-the costs between neighbours: O(n) memory plus one 1 MB buffer of pair
-differences.  Nodes are numbered like scipy: leaves 0..n-1 in
-chronological order, merge t creates node n+t.
+the costs between neighbours, a band of the squared distances from each
+point to its next ``_BAND`` points, and one 1 MB buffer of pair
+differences for wider blocks: O(n) memory.  A merge of short intervals
+reads its distances from the band in plain Python.  Nodes are numbered
+like scipy: leaves 0..n-1 in chronological order, merge t creates node
+n+t.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -24,6 +28,7 @@ import numpy as np
 from ._formats import write_csv
 
 _PAIR_BLOCK = 2**17  # float64 pair differences computed at once (1 MB)
+_BAND = 64  # squared distances kept per point, to each of the next _BAND points
 # Leaf labels in dendrogram text: the escape character and every line
 # boundary of str.splitlines become \uXXXX, so each record stays on one line.
 _LABEL_ESCAPES = {ord(c): f"\\u{ord(c):04x}" for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -40,13 +45,15 @@ class PointCloud:
         coords = np.array(self.coords, dtype=float)  # a copy, so freezing it spares the caller
         if coords.ndim != 2 or coords.shape[0] != len(self.labels):
             raise ValueError(f"coords shape {coords.shape} does not fit {len(self.labels)} labels")
+        if not np.isfinite(coords).all():
+            raise ValueError("coords must be finite")
         masses = self.masses
         if masses is None:
             masses = np.ones(len(self.labels))
         else:
             masses = np.array(masses, dtype=float)
-            if masses.shape != (len(self.labels),) or (masses <= 0).any():
-                raise ValueError("masses must be positive, one per point")
+            if masses.shape != (len(self.labels),) or not (np.isfinite(masses) & (masses > 0)).all():
+                raise ValueError("masses must be finite and positive, one per point")
         coords.setflags(write=False)
         masses.setflags(write=False)
         object.__setattr__(self, "coords", coords)
@@ -75,12 +82,19 @@ class Dendrogram:
             raise ValueError(f"{len(self.merges)} merges for {self.n_leaves} leaves")
         if len(self.labels) != self.n_leaves:
             raise ValueError("one label per leaf required")
+        n = self.n_leaves
+        sizes = [1] * (2 * n - 1)  # leaf count of every node
         seen: set[int] = set()
-        for left, right, _height, _size in self.merges:
+        for step, (left, right, _height, size) in enumerate(self.merges):
             for child in (left, right):
+                if not 0 <= child < n + step:
+                    raise ValueError(f"merge {step} joins node {child}, which does not exist yet")
                 if child in seen:
                     raise ValueError(f"node {child} merged twice")
                 seen.add(child)
+            if size != sizes[left] + sizes[right]:
+                raise ValueError(f"merge {step} has size {size}, its children {sizes[left] + sizes[right]}")
+            sizes[n + step] = size
 
     @property
     def heights(self) -> tuple[float, ...]:
@@ -176,25 +190,61 @@ def ward_cluster(cloud: PointCloud) -> Dendrogram:
     return Dendrogram(tuple(merges), n, "ward", cloud.labels)
 
 
+def _squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write ``np.add.reduce((x - y) ** 2, axis=-1)`` into ``out``, bit for bit.
+
+    ``x - y`` broadcasts to ``out.shape + (d,)``.  Below 8 elements numpy's
+    add.reduce sums from left to right, so the sum is built one axis at a
+    time: d passes over the pairs instead of one inner loop per pair, with
+    ``scratch`` holding one axis.  From 8 elements numpy sums pairwise, and
+    ``scratch`` holds every squared difference for one add.reduce.
+    """
+    d = x.shape[-1]
+    if not 0 < d < 8:
+        diff = scratch[:out.size * d].reshape(out.shape + (d,))
+        np.subtract(x, y, out=diff)
+        diff *= diff
+        np.add.reduce(diff, axis=-1, out=out)
+        return
+    np.subtract(x[..., 0], y[..., 0], out=out)
+    out *= out
+    part = scratch[:out.size].reshape(out.shape)
+    for axis in range(1, d):
+        np.subtract(x[..., axis], y[..., axis], out=part)
+        part *= part
+        out += part
+
+
 def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
     """Complete-link agglomeration restricted to chronologically adjacent pairs.
 
     The points are in chronological order, as given, and every cluster at
     every stage is an interval of that sequence.  Ties go to the leftmost
     adjacent pair.  Only neighbouring intervals are compared (Murtagh
-    1985), so memory is O(n) plus one buffer of at most ``_PAIR_BLOCK``
-    pair differences (1 MB), or of one row if that is more.
+    1985), and every point pair is measured once, when its intervals first
+    touch.  Pairs at most ``_BAND`` positions apart are measured up front
+    into an n x ``_BAND`` band, so a merge of short intervals costs a few
+    Python operations; wider blocks are measured in row chunks of at most
+    ``_PAIR_BLOCK`` pair differences (1 MB), or of one row if that is more.
+    Memory is O(n) state, the band and that one buffer.
     """
     n = len(cloud)
     if n < 2:
         raise ValueError("clustering needs at least 2 points")
     coords = cloud.coords
-    d = coords.shape[1]
-    width = max(d, 1)  # buffer elements per pair, so that d = 0 sizes like d = 1
+    width = max(coords.shape[1], 1)  # buffer elements per pair, so that d = 0 sizes like d = 1
     # One row of any cross block fits, and so does the largest cross block
     # (at most n^2 / 4 pairs) when it is smaller than _PAIR_BLOCK.
     buffer = np.empty(max(min(_PAIR_BLOCK, n * n // 4 * width), n * width))
     sums = np.empty(len(buffer) // width)
+    # near[i * band + k - 1] is the squared distance of points i and i + k,
+    # for k = 1 .. band: point pair (i, j) sits at i * (band - 1) + j - 1.
+    band = _BAND
+    near = np.empty(n * band)
+    grid = near.reshape(n, band)
+    for k in range(1, min(band, n - 1) + 1):
+        _squared_distances(coords[:-k], coords[k:], grid[:n - k, k - 1], buffer)
+    flat, skip = memoryview(near), band - 1
 
     def farthest(i0: int, i1: int, j0: int, j1: int) -> float:
         """Largest distance between a point of [i0, i1) and one of [j0, j1).
@@ -203,42 +253,39 @@ def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
         differences as a whole n x n x d tensor would, and sqrt is monotone,
         so the result is bitwise the maximum of those distances.
         """
+        if j1 - i0 <= band + 1:  # every pair lies in the band: one slice per row
+            return math.sqrt(max(max(flat[i * skip + j0 - 1:i * skip + j1 - 1]) for i in range(i0, i1)))
         cols = j1 - j0
         rows = max(1, _PAIR_BLOCK // (cols * width))
-        best = -np.inf
+        best = 0.0  # squared distances of finite points are never negative or NaN
         for start in range(i0, i1, rows):
             stop = min(start + rows, i1)
-            diff = buffer[:(stop - start) * cols * d].reshape(stop - start, cols, d)
-            np.subtract(coords[start:stop, None, :], coords[None, j0:j1, :], out=diff)
-            diff *= diff
             square = sums[:(stop - start) * cols].reshape(stop - start, cols)
-            np.sum(diff, axis=2, out=square)
-            best = np.maximum(best, square.max())
-        return np.sqrt(best)
+            _squared_distances(coords[start:stop, None, :], coords[None, j0:j1, :], square, buffer)
+            best = max(best, square.max())
+        return math.sqrt(best)
 
     # ``starts`` holds the first point of each active interval, left to
-    # right, and ``adjacent[t]`` the cost of merging intervals t and t + 1.
+    # right, and ``adjacent[t]`` the cost of merging intervals t and t + 1;
+    # a merge shifts the live costs after it one place left.
     # A merge of A and B compares only the pairs new to a neighbour:
-    # D(L, AB) = max(D(L, A), D(L, B)) and D(AB, R) = max(D(A, R), D(B, R)),
-    # so every point pair is measured once, when its intervals first touch.
-    diff = coords[:-1] - coords[1:]
-    diff *= diff
-    adjacent = np.sqrt(np.sum(diff, axis=1))
-    del diff
+    # D(L, AB) = max(D(L, A), D(L, B)) and D(AB, R) = max(D(A, R), D(B, R)).
+    adjacent = np.sqrt(grid[:n - 1, 0])
     starts = list(range(n + 1))  # the final entry closes the last interval
     node_id = list(range(n))
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
-        t = int(np.argmin(adjacent))  # argmin returns the leftmost tie
+        live = n - 1 - step
+        t = int(adjacent[:live].argmin())  # argmin returns the leftmost tie
         a0, b0, b1 = starts[t], starts[t + 1], starts[t + 2]
         merges.append((min(node_id[t], node_id[t + 1]), max(node_id[t], node_id[t + 1]),
                        float(adjacent[t]), b1 - a0))
         if t > 0:
-            adjacent[t - 1] = np.maximum(adjacent[t - 1], farthest(starts[t - 1], a0, b0, b1))
-        if t + 1 < len(adjacent):
-            adjacent[t + 1] = np.maximum(adjacent[t + 1], farthest(a0, b0, b1, starts[t + 3]))
-        adjacent = np.delete(adjacent, t)
+            adjacent[t - 1] = max(adjacent[t - 1], farthest(starts[t - 1], a0, b0, b1))
+        if t + 1 < live:
+            adjacent[t + 1] = max(adjacent[t + 1], farthest(a0, b0, b1, starts[t + 3]))
+        adjacent[t:live - 1] = adjacent[t + 1:live]
         del starts[t + 1], node_id[t + 1]
         node_id[t] = n + step
     return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)

@@ -36,6 +36,16 @@ def test_point_cloud_validation():
         PointCloud(("a", "b"), np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
+def test_point_cloud_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        coords = np.zeros((2, 2))
+        coords[1, 0] = bad
+        with pytest.raises(ValueError, match="coords must be finite"):
+            PointCloud(("a", "b"), coords)
+        with pytest.raises(ValueError, match="masses must be finite and positive"):
+            PointCloud(("a", "b"), np.zeros((2, 2)), np.array([1.0, bad]))
+
+
 def test_point_cloud_leaves_caller_arrays_writeable():
     coords, masses = np.zeros((3, 2)), np.ones(3)
     cloud = PointCloud(("a", "b", "c"), coords, masses)
@@ -215,8 +225,9 @@ def test_constrained_memory_is_bounded_by_one_row_block():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One 1 MiB block of differences and its row sums (about 2.4 MB
-    # measured); the n x n x d tensor (490 MB) would exceed this.
+    # One 1 MiB block of differences, its row sums and the 0.2 MB band of
+    # near pairs (about 1.6 MB measured); the n x n x d tensor (490 MB)
+    # would exceed this.
     assert peak < 50e6
 
 
@@ -269,15 +280,23 @@ def _matrix_constrained(cloud):
     return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)
 
 
-@pytest.mark.parametrize("block", [64, 1])
-def test_constrained_matches_cost_matrix_bitwise(monkeypatch, block):
+@pytest.mark.parametrize("block, band", [(64, 64), (1, 64), (64, 1), (2**17, 2)],
+                         ids=["64", "1", "64-band1", "band2"])
+def test_constrained_matches_cost_matrix_bitwise(monkeypatch, block, band):
     # Small blocks split most cross blocks into several row chunks (64) or
-    # single rows (1); the default block covers the whole-block case.
+    # single rows (1); the default block covers the whole-block case.  The
+    # band of near pairs holds every pair of the shorter sequences (64),
+    # only neighbours (1) or pairs at most two apart (2).
     monkeypatch.setattr(clustering, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(clustering, "_BAND", band)
     rng = np.random.default_rng(71 + block)
-    for trial in range(160):
-        n, d = int(rng.integers(2, 91)), int(rng.integers(0, 13))
-        kind = trial % 4
+    # Around the band's edge and past it, with d on both sides of the 8
+    # elements where numpy's add.reduce turns from a left-to-right sum to
+    # a pairwise one; then random sizes.
+    edges = [(n, d, kind) for n in (band - 1, band, band + 1, 2 * band + 1, 300) if n >= 2
+             for d in (7, 8) for kind in range(4)]
+    randoms = [(int(rng.integers(2, 91)), int(rng.integers(0, 13)), trial % 4) for trial in range(160)]
+    for trial, (n, d, kind) in enumerate(edges + randoms):
         if kind == 0:
             coords = rng.normal(size=(n, d))
         elif kind in (1, 2):  # 0/1 and 0/1/2 grids: many equal distances
@@ -289,6 +308,22 @@ def test_constrained_matches_cost_matrix_bitwise(monkeypatch, block):
         cloud = PointCloud(tuple(f"p{i}" for i in perm), coords[perm])
         got = clustering.constrained_complete_link(cloud)
         assert got == _matrix_constrained(cloud)
+
+
+def test_add_reduce_sums_fewer_than_eight_elements_left_to_right():
+    # Constrained link builds squared distances of d < 8 axes one axis at a
+    # time and relies on this order to match np.add.reduce bit for bit.
+    rng = np.random.default_rng(83)
+    for d in range(1, 8):
+        scaled = rng.random((4000, d)) * 10.0 ** rng.integers(-8, 9, size=(4000, d))
+        tied = rng.integers(0, 3, size=(4000, d)) / 3.0
+        for values in (scaled, tied, scaled.reshape(40, 100, d)):
+            left_to_right = values[..., 0].copy()
+            for axis in range(1, d):
+                left_to_right += values[..., axis]
+            assert np.array_equal(np.add.reduce(values, axis=-1), left_to_right), (
+                f"np.add.reduce no longer sums {d} contiguous elements from left to right; "
+                "clustering._squared_distances must add axes the way it does")
 
 
 def test_constrained_matches_cost_matrix_at_scale():
@@ -308,8 +343,9 @@ def test_constrained_memory_is_linear_in_points():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The 1 MiB difference buffer and its 0.2 MB of row sums (about 2.6 MB
-    # measured); an n x n cost matrix alone is 128 MB.
+    # The 1 MiB difference buffer, its 0.2 MB of row sums and the 2 MB band
+    # of near pairs (about 4.7 MB measured); an n x n cost matrix alone is
+    # 128 MB.
     assert peak < 32e6
 
 
@@ -323,7 +359,8 @@ def test_constrained_peak_memory_is_one_small_block():
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 1.6 and 2.4 MB measured; an 8 MiB block would measure 10.5 and 9.6 MB.
+        # 2.2 and 1.6 MB measured, the band of near pairs included; an 8 MiB
+        # block would add 7-9 MB to each.
         assert peak < 4e6, (n, d)
 
 
@@ -598,6 +635,20 @@ def test_dendrogram_validation():
         Dendrogram(((0, 1, 1.0, 2), (0, 2, 2.0, 3)), 3, "ward", ("a", "b", "c"))
     with pytest.raises(ValueError, match="label"):
         Dendrogram(((0, 1, 1.0, 2),), 2, "ward", ("a",))
+
+
+def test_dendrogram_rejects_unknown_nodes_and_wrong_sizes():
+    head = "criterion ward\nleaves 3\nleaf 0 a\nleaf 1 b\nleaf 2 c\n"
+    # Node 4 is the second merge's own node; node 3 exists only after merge 0.
+    for merges in ("merge 0 4 1.0 2\nmerge 1 2 2.0 3\n", "merge 0 1 1.0 2\nmerge 2 4 2.0 3\n",
+                   "merge 0 -1 1.0 2\nmerge 1 2 2.0 3\n"):
+        with pytest.raises(ValueError, match="merge [01] joins node -?[14], which does not exist"):
+            clustering.dendrogram_from_text(head + merges)
+    with pytest.raises(ValueError, match="merge 1 has size 2, its children 3"):
+        clustering.dendrogram_from_text(head + "merge 0 1 1.0 2\nmerge 2 3 2.0 2\n")
+    with pytest.raises(ValueError, match="merge 0 has size 1, its children 2"):
+        clustering.dendrogram_from_text(head + "merge 0 1 1.0 1\nmerge 2 3 2.0 2\n")
+    assert clustering.dendrogram_from_text(head + "merge 1 2 1.0 2\nmerge 0 3 2.0 3\n").n_leaves == 3
 
 
 def test_dendrogram_text_round_trip():
