@@ -82,10 +82,15 @@ class Dendrogram:
             raise ValueError(f"{len(self.merges)} merges for {self.n_leaves} leaves")
         if len(self.labels) != self.n_leaves:
             raise ValueError("one label per leaf required")
+        if self.criterion not in ("ward", "constrained_complete"):
+            raise ValueError(f"criterion must be 'ward' or 'constrained_complete', "
+                             f"got {self.criterion!r}")
         n = self.n_leaves
         sizes = [1] * (2 * n - 1)  # leaf count of every node
         seen: set[int] = set()
-        for step, (left, right, _height, size) in enumerate(self.merges):
+        for step, (left, right, height, size) in enumerate(self.merges):
+            if not math.isfinite(height):
+                raise ValueError(f"merge {step} has height {height}, which is not finite")
             for child in (left, right):
                 if not 0 <= child < n + step:
                     raise ValueError(f"merge {step} joins node {child}, which does not exist yet")

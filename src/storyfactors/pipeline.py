@@ -13,21 +13,13 @@ previous run may have left in the output directory, and a failed run
 removes what it wrote, so the directory holds exactly one run's
 artifacts or none.  All outputs are pure functions of the config and
 input files, so two runs over the same inputs are byte-identical.
-
-The fit_ca stage writes the two contribution files in a forked child
-while this process writes the inertia and coordinate files, and joins
-the child before the next stage starts; a failure in either process is
-the stage's error.  Without ``os.fork`` the same files are written
-in-process.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +30,7 @@ _UNITS = ("sentence", "paragraph")
 _CRITERIA = ("ward", "constrained")
 _PATH_KEYS = ("input_text", "abbreviations", "stopwords", "lexicon",
               "speakers", "segment_file")
-_WRITE_SLICE = 1 << 20  # characters of a whole-text artifact encoded at once
+_WRITE_SLICE = 1 << 16  # characters of a whole-text artifact encoded at once
 
 # Result key -> artifact file name; every name a run can write.
 _ARTIFACTS = {
@@ -358,70 +350,14 @@ def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
     return f"aggregate: {table.shape[0]} segments"
 
 
-@contextmanager
-def _alongside(job: Callable[[], None]) -> Iterator[None]:
-    """Run ``job`` in a forked child while the ``with`` body runs here.
-
-    The child reports a failure as ``TypeName: message`` through a pipe and
-    always ends in ``os._exit``, so it never returns into the caller's stack
-    (no atexit handlers, stdio flushes or test teardown run twice).  On
-    leaving the body the child is always reaped, before any exception
-    escapes, and its failure is raised here as a ``RuntimeError``.  Without
-    ``os.fork`` the job runs in-process after the body.
-    """
-    fork = getattr(os, "fork", None)
-    if fork is None:
-        yield
-        job()
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        status = 0
-        try:
-            job()
-        except BaseException as exc:  # the child's top level: report, then exit
-            status = 1
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(f"{type(exc).__name__}: {exc}".encode())
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        yield
-    finally:
-        try:
-            with os.fdopen(read_fd, "rb") as pipe:
-                report = pipe.read().decode(errors="replace")
-        finally:
-            _, status = os.waitpid(pid, 0)
-    if report or status:
-        raise RuntimeError(
-            report or f"forked writer exited with code {os.waitstatus_to_exitcode(status)}")
-
-
 def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
     model = result.model = ca.fit_ca(result.table)
-
-    # Most of the export is CPython's float formatting, which holds the GIL;
-    # the matrices split evenly, so a child writes the contributions while
-    # this process writes the coordinates.
-    def write_contributions() -> None:
-        for side in ("row", "col"):
-            _write(result, f"{side}_contrib", ca.contributions_csv(model, side))
-
-    with _alongside(write_contributions):
-        _write(result, "inertia", ca.inertia_table_csv(model))
-        _write(result, "row_coords", ca.coordinates_csv(model, "row"))
-        _write(result, "col_coords", ca.coordinates_csv(model, "col"))
-    for key in ("row_contrib", "col_contrib"):  # written by the child
-        result.files[key] = result.out_dir / _ARTIFACTS[key]
+    # One matrix at a time, so only one matrix's text is alive at once.
+    _write(result, "inertia", ca.inertia_table_csv(model))
+    _write(result, "row_coords", ca.coordinates_csv(model, "row"))
+    _write(result, "col_coords", ca.coordinates_csv(model, "col"))
+    _write(result, "row_contrib", ca.contributions_csv(model, "row"))
+    _write(result, "col_contrib", ca.contributions_csv(model, "col"))
     return f"fit_ca: {model.n_axes} axes, total inertia {model.total_inertia:.6g}"
 
 

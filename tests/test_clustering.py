@@ -637,6 +637,17 @@ def test_dendrogram_validation():
         Dendrogram(((0, 1, 1.0, 2),), 2, "ward", ("a",))
 
 
+def test_dendrogram_rejects_unknown_criterion_and_heights_that_are_not_finite():
+    with pytest.raises(ValueError, match="criterion must be 'ward' or 'constrained_complete', got ''"):
+        clustering.dendrogram_from_text("leaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 nan 2\n")
+    for height in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"merge 0 has height {height}, which is not finite"):
+            clustering.dendrogram_from_text(
+                f"criterion ward\nleaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 {height} 2\n")
+    with pytest.raises(ValueError, match="got 'complete'"):
+        Dendrogram(((0, 1, 1.0, 2),), 2, "complete", ("a", "b"))
+
+
 def test_dendrogram_rejects_unknown_nodes_and_wrong_sizes():
     head = "criterion ward\nleaves 3\nleaf 0 a\nleaf 1 b\nleaf 2 c\n"
     # Node 4 is the second merge's own node; node 3 exists only after merge 0.

@@ -1,9 +1,7 @@
 """Config parsing, staged execution, artifact consistency, CLI behavior."""
 
 import hashlib
-import os
 import re
-import time
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -217,6 +215,7 @@ GOLDEN = {
         "table_segments.csv": "ca21a4b3ad76bdd49e0e745f4ed4b22ef26041d6ab816f7f8bb38213b23a7da0",
     },
     "nouns.cfg": {
+        "sentences.csv": "9be010529a184e0bff1f0570402871f2144fd179dc448d3eade143e1e5d82a8c",
         "table.csv": "8e7511e2d44281af1e6dc8068ad012bf4920d24c8c0176769afc66a8cd482584",
     },
 }
@@ -665,97 +664,35 @@ def test_cli_reports_config_errors(mini, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# The fit_ca stage writes the two contribution files in a forked child.
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no os.fork")
 CA_FILES = {"row_coords": ("coordinates_csv", "row"), "col_coords": ("coordinates_csv", "col"),
             "row_contrib": ("contributions_csv", "row"),
             "col_contrib": ("contributions_csv", "col")}
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_forked_export_equals_in_process_writers(mini):
+def test_ca_export_equals_the_ca_writers(mini):
     root, write_config = mini
     result = pipeline.run_pipeline(pipeline.parse_config(write_config()),
                                    out_dir=root / "out", upto="fit_ca")
-    _assert_no_child_left()
     assert list(result.files)[-5:] == ["inertia", *CA_FILES]
     for key, (writer, side) in CA_FILES.items():
         expected = getattr(ca, writer)(result.model, side)
         assert result.files[key].read_text(encoding="utf-8") == expected
 
 
-def test_export_without_fork_is_byte_identical(mini, monkeypatch):
+@pytest.mark.parametrize("writer", ["coordinates_csv", "contributions_csv"])
+def test_failing_ca_writer_is_a_fit_ca_stage_error(mini, monkeypatch, writer):
     root, write_config = mini
-    config = pipeline.parse_config(write_config())
-    forked = pipeline.run_pipeline(config, out_dir=root / "forked")
-    monkeypatch.delattr(os, "fork", raising=False)
-    inline = pipeline.run_pipeline(config, out_dir=root / "inline")
-    assert list(inline.files) == list(forked.files)
-    for key, path in forked.files.items():
-        assert inline.files[key].read_bytes() == path.read_bytes()
-
-
-@needs_fork
-def test_child_failure_is_a_fit_ca_stage_error(mini, monkeypatch):
-    root, write_config = mini
+    error = ValueError(f"no row {writer.partition('_')[0]}")
 
     def broken(model, side="row"):
-        raise ValueError(f"no {side} contributions")
+        raise error
 
-    monkeypatch.setattr(ca, "contributions_csv", broken)
+    monkeypatch.setattr(ca, writer, broken)
     out = root / "out"
     with pytest.raises(pipeline.StageError) as excinfo:
         pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
-    assert excinfo.value.stage == "fit_ca"
-    assert str(excinfo.value) == "[fit_ca] ValueError: no row contributions"
-    _assert_no_child_left()
-    assert list(out.iterdir()) == []
-
-
-@needs_fork
-def test_parent_failure_reaps_the_child_before_cleanup(mini, monkeypatch):
-    root, write_config = mini
-    contributions_csv = ca.contributions_csv
-
-    def slow(model, side="row"):  # still writing when the parent fails
-        time.sleep(0.3)
-        return contributions_csv(model, side)
-
-    def broken(model, side="row"):
-        raise ValueError("no coordinates")
-
-    monkeypatch.setattr(ca, "contributions_csv", slow)
-    monkeypatch.setattr(ca, "coordinates_csv", broken)
-    out = root / "out"
-    with pytest.raises(pipeline.StageError) as excinfo:
-        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
-    assert excinfo.value.stage == "fit_ca"
-    assert str(excinfo.value) == "[fit_ca] no coordinates"
-    _assert_no_child_left()
-    assert list(out.iterdir()) == []
-
-
-@needs_fork
-def test_failed_fork_is_a_fit_ca_stage_error(mini, monkeypatch):
-    root, write_config = mini
-
-    def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    config = pipeline.parse_config(write_config())
-    open_fds = len(os.listdir("/dev/fd"))
-    monkeypatch.setattr(os, "fork", no_fork)
-    out = root / "out"
-    with pytest.raises(pipeline.StageError) as excinfo:
-        pipeline.run_pipeline(config, out_dir=out)
-    assert excinfo.value.stage == "fit_ca"
-    assert isinstance(excinfo.value.cause, BlockingIOError)
-    assert len(os.listdir("/dev/fd")) == open_fds  # the pipe was closed
+    assert str(excinfo.value) == f"[fit_ca] {error}"
+    assert excinfo.value.cause is error
     assert list(out.iterdir()) == []
 
 
@@ -773,7 +710,6 @@ def test_cli_run_prints_its_summary_once(mini, capfd):
 
 
 def test_full_run_raises_no_warning(mini):
-    # CPython 3.12+ warns when a process with threads forks.
     root, write_config = mini
     with warnings.catch_warnings():
         warnings.simplefilter("error")
