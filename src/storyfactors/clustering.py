@@ -359,25 +359,27 @@ def dendrogram_to_text(dendrogram: Dendrogram) -> str:
 
 def dendrogram_from_text(text: str) -> Dendrogram:
     """Parse :func:`dendrogram_to_text` output; exact round-trip."""
-    criterion = ""
-    n = 0
+    header: dict[str, str] = {}  # the criterion and leaves records
     labels: list[str] = []
     merges: list[tuple[int, int, float, int]] = []
     for line in text.splitlines():
         kind, _, rest = line.partition(" ")
-        if kind == "criterion":
-            criterion = rest
-        elif kind == "leaves":
-            n = int(rest)
+        if kind in ("criterion", "leaves"):
+            if kind in header:
+                raise ValueError(f"second {kind} line: {line!r}")
+            header[kind] = rest
         elif kind == "leaf":
-            _idx, _, label = rest.partition(" ")
+            index, _, label = rest.partition(" ")
+            if index != str(len(labels)):
+                raise ValueError(f"expected leaf {len(labels)}, got {line!r}")
             labels.append(_LABEL_ESCAPED.sub(lambda m: chr(int(m[1], 16)), label))
         elif kind == "merge":
             left, right, height, size = rest.split()
             merges.append((int(left), int(right), float(height), int(size)))
         elif line.strip():
             raise ValueError(f"unrecognized dendrogram line: {line!r}")
-    return Dendrogram(tuple(merges), n, criterion, tuple(labels))
+    return Dendrogram(tuple(merges), int(header.get("leaves", 0)),
+                      header.get("criterion", ""), tuple(labels))
 
 
 def partition_to_csv(partition: Partition) -> str:

@@ -6,8 +6,8 @@ first appearance.  The one table type is :class:`CellCounts`, a
 table's non-zero cells: :func:`count_cells` counts tokens into cells,
 :func:`apply_filter` returns the kept cells, :func:`aggregate` sums cells
 into one row per segment given one segment id per row (a segment is a
-run of rows), and :func:`table_csv_rows` formats them one row block at a
-time.  :meth:`CellCounts.of` takes the cells of a dense array, and
+run of rows), and :func:`table_csv_rows` writes them as CSV lines.
+:meth:`CellCounts.of` takes the cells of a dense array, and
 :meth:`CellCounts.dense` makes the full array for code that needs it.
 Filtering is a pipeline of passes (stopwords, word length, lexicon,
 frequency thresholds, empty-row removal) run by one kernel over the
@@ -28,8 +28,6 @@ from ._formats import labelled_csv, lines, read_csv
 from .textprep import TokenList
 
 logger = logging.getLogger(__name__)
-
-_CSV_BLOCK_BYTES = 1 << 20  # output bytes table_to_csv formats per row block
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -250,44 +248,23 @@ def table_csv_rows(table: CellCounts) -> Iterator[str]:
     The bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over
     ``[label, *counts]`` with each count written as ``str(int)``: labels
     are quoted by csv itself, and the counts, which csv never quotes, are
-    formatted by numpy in row blocks of about ``_CSV_BLOCK_BYTES``.  Only
-    one row block is dense at a time, taken from the table's cells, so
-    writing the lines as they come never holds the whole table or its text.
+    written from the table's cells one row at a time, the zeros between
+    them sliced from one ``",0" * m`` string.  Writing the lines as they
+    come never holds the whole table or its text.
     """
     n, m = table.shape
-    top = int(table.counts.max(initial=0))
-    width = len(str(top))
-    dtype = np.min_scalar_type(top)  # the digit loop's arrays take 1-8 bytes per cell
-    rows_per_block = max(1, _CSV_BLOCK_BYTES // (m * (width + 1) + 1))
+    zeros = ",0" * m
+    starts = np.searchsorted(table.cells, np.arange(n + 1) * m).tolist()  # each row's first cell
 
-    def block(start: int, stop: int) -> np.ndarray:
-        lo, hi = np.searchsorted(table.cells, (start * m, stop * m))
-        counts = np.zeros((stop - start, m), dtype=dtype)
-        counts.reshape(-1)[table.cells[lo:hi] - start * m] = table.counts[lo:hi]
-        return counts
+    def body(row: int) -> str:
+        lo, hi = starts[row], starts[row + 1]
+        parts, done = [], row * m  # done: the flat index of the next cell to write
+        for cell, count in zip(table.cells[lo:hi].tolist(), table.counts[lo:hi].tolist()):
+            parts.append(f"{zeros[:2 * (cell - done)]},{count}")
+            done = cell + 1
+        return "".join(parts) + zeros[:2 * ((row + 1) * m - done)] + "\n"
 
-    bodies = (body for start in range(0, n, rows_per_block) for body in
-              _count_rows(block(start, min(start + rows_per_block, n)), width).splitlines(True))
-    return labelled_csv(["doc_id", *table.col_labels], table.row_labels, bodies)
-
-
-def _count_rows(block: np.ndarray, width: int) -> str:
-    """Rows of counts below ``10**width`` as ``",c1,c2,...\\n"`` lines, in decimal."""
-    r, m = block.shape
-    # One byte per digit after a leading comma, plus the row's newline;
-    # leading zeros become NUL bytes and are dropped with one mask.
-    out = np.zeros((r, m * (width + 1) + 1), dtype=np.uint8)
-    out[:, -1] = ord("\n")
-    cells = out[:, :-1].reshape(r, m, width + 1)
-    cells[:, :, 0] = ord(",")
-    rest = block
-    for k in range(width, 0, -1):
-        rest, digit = np.divmod(rest, 10)
-        cells[:, :, k] = digit + ord("0")
-    for k in range(1, width):  # position k holds the 10**(width - k) digit
-        cells[:, :, k][block < 10 ** (width - k)] = 0
-    flat = out.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+    return labelled_csv(["doc_id", *table.col_labels], table.row_labels, map(body, range(n)))
 
 
 def table_from_csv(data: str) -> CellCounts:

@@ -193,5 +193,10 @@ def sentences_from_csv(data: str) -> list[SentenceRecord]:
     header, rows = read_csv(data)
     if header != ["sentence_id", "paragraph_id", "speaker", "text"]:
         raise ValueError(f"unexpected sentence CSV header: {header!r}")
-    return [SentenceRecord(int(sentence_id), int(paragraph_id), speaker or None, text)
-            for _, (sentence_id, paragraph_id, speaker, text) in rows]
+    records = []
+    try:  # a row's line number is bound before the row is unpacked
+        for lineno, (sentence_id, paragraph_id, speaker, text) in rows:
+            records.append(SentenceRecord(int(sentence_id), int(paragraph_id), speaker or None, text))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return records

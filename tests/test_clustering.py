@@ -635,6 +635,19 @@ def test_dendrogram_validation():
         Dendrogram(((0, 1, 1.0, 2), (0, 2, 2.0, 3)), 3, "ward", ("a", "b", "c"))
     with pytest.raises(ValueError, match="label"):
         Dendrogram(((0, 1, 1.0, 2),), 2, "ward", ("a",))
+    tree = "criterion ward\nleaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 1.0 2\n"
+    for text, message in [
+        (tree.replace("leaf 0 a\nleaf 1 b", "leaf 1 a\nleaf 0 b"), "expected leaf 0, got 'leaf 1 a'"),
+        (tree.replace("leaf 1 b", "leaf 0 b"), "expected leaf 1, got 'leaf 0 b'"),
+        (tree.replace("leaf 1 b", "leaf 2 b"), "expected leaf 1, got 'leaf 2 b'"),
+        (tree + "criterion constrained_complete\n",
+         "second criterion line: 'criterion constrained_complete'"),
+        (tree.replace("leaves 2\n", "leaves 2\nleaves 2\n"), "second leaves line: 'leaves 2'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            clustering.dendrogram_from_text(text)
+        assert str(info.value) == message
+    assert clustering.dendrogram_from_text(tree).labels == ("a", "b")
 
 
 def test_dendrogram_rejects_unknown_criterion_and_heights_that_are_not_finite():

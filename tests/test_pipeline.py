@@ -1,5 +1,6 @@
 """Config parsing, staged execution, artifact consistency, CLI behavior."""
 
+import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -218,12 +219,18 @@ GOLDEN = {
         "sentences.csv": "9be010529a184e0bff1f0570402871f2144fd179dc448d3eade143e1e5d82a8c",
         "table.csv": "8e7511e2d44281af1e6dc8068ad012bf4920d24c8c0176769afc66a8cd482584",
     },
+    # One row per paragraph, as in the sections_long workload.
+    "sections.cfg unit=paragraph": {
+        "table.csv": "254056b27f3ecb9c90a448ac4f8dbee22354ed396dae9d3e2b244ebd61a90ea4",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_configs_reproduce_golden_tables(name, data_dir, tmp_path):
-    config = pipeline.parse_config(data_dir / "configs" / name)
+    file, *overrides = name.split()  # a config file, then key=value overrides
+    config = dataclasses.replace(pipeline.parse_config(data_dir / "configs" / file),
+                                 **dict(override.split("=") for override in overrides))
     result = pipeline.run_pipeline(config, out_dir=tmp_path, upto="aggregate")
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in result.files.values()}

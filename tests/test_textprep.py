@@ -210,6 +210,18 @@ def test_sentences_from_csv_rejects_wrong_header():
         textprep.sentences_from_csv("id,text\n1,x\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1,1\n", "line 2: not enough values to unpack (expected 4, got 2)"),
+    ("1,1,,a\n\nx,1,,b\n", "line 4: invalid literal for int() with base 10: 'x'"),
+    ("1,1,,a\n2,1.5,,b\n", "line 3: invalid literal for int() with base 10: '1.5'"),
+    ('1,1,,"a\nb"\n2,z,,c\n', "line 4: invalid literal for int() with base 10: 'z'"),
+])
+def test_sentences_from_csv_names_the_line_of_a_bad_row(body, message):
+    with pytest.raises(ValueError) as info:
+        textprep.sentences_from_csv("sentence_id,paragraph_id,speaker,text\n" + body)
+    assert str(info.value) == message
+
+
 def test_annotate_speakers_assigns_by_paragraph():
     records = textprep.segment_text("One. Two.\n\nThree.")
     annotated = textprep.annotate_speakers(records, {1: "NARRATOR", 2: "DUPIN"})
