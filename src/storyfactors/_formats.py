@@ -9,9 +9,17 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text without a BOM, its line ends as written; a bad byte names the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
+
+
 def lines(path: str | Path):
     """Yield ``(line number, text)`` for each line left after ``#`` comments, blanks and a BOM."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._formats import labelled_csv, write_csv
+from ._formats import labelled_csv
 from .corpus import CellCounts
 
 # Relative trim per axis plus an absolute floor: singular values are at
@@ -121,7 +121,7 @@ def fit_ca(table: CellCounts) -> CAModel:
     del S
 
     k_max = min(n - 1, m - 1)
-    threshold = max(_REL_TRIM * (sigma[0] if len(sigma) else 0.0), _ABS_TRIM)
+    threshold = max(_REL_TRIM * sigma[0], _ABS_TRIM)
     K = min(k_max, int((sigma > threshold).sum()))
     sigma = sigma[:K].copy()
     F = U[:, :K] * sigma / np.sqrt(r)[:, None]
@@ -130,11 +130,9 @@ def fit_ca(table: CellCounts) -> CAModel:
     # Sign convention: per axis, the canonical-orientation column
     # coordinate of largest absolute value is positive; argmax takes the
     # earliest on ties.
-    for k in range(K):
-        anchor = int(np.argmax(np.abs(G[:, k])))
-        if G[anchor, k] < 0:
-            F[:, k] = -F[:, k]
-            G[:, k] = -G[:, k]
+    flip = G[np.argmax(np.abs(G), axis=0), np.arange(K)] < 0
+    np.negative(F, out=F, where=flip)
+    np.negative(G, out=G, where=flip)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         row_contrib = r[:, None] * F**2 / sigma**2
@@ -176,10 +174,8 @@ def chi2_row_distance(table: CellCounts, i: int, i2: int) -> float:
 
 def cumulative_inertia(model: CAModel) -> np.ndarray:
     """Cumulative inertia percentages per axis; the last entry is exactly 100."""
-    if model.n_axes == 0:
-        return np.zeros(0)
     percent = 100.0 * np.cumsum(model.singular_values**2) / model.total_inertia
-    percent[-1] = 100.0
+    percent[-1:] = 100.0  # no entry when there is no axis
     return percent
 
 
@@ -230,34 +226,31 @@ def _fmt(value: float) -> str:
 
 def inertia_table_csv(model: CAModel) -> str:
     """One line per axis: axis, sigma, sigma^2, percent, cumulative percent."""
-    cumulative = cumulative_inertia(model)
-    rows = []
-    for k, sigma in enumerate(model.singular_values):
-        sq = sigma**2
-        rows.append([k + 1, _fmt(sigma), _fmt(sq), _fmt(100.0 * sq / model.total_inertia),
-                     _fmt(cumulative[k])])
-    return write_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"], rows)
+    sigma, sq = model.singular_values, model.singular_values**2
+    table = np.column_stack([sigma, sq, 100 * sq / model.total_inertia, cumulative_inertia(model)])
+    return _matrix_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"],
+                       [str(k) for k in range(1, model.n_axes + 1)], table)
 
 
 def coordinates_csv(model: CAModel, side: str = "row") -> str:
     """Principal coordinates as CSV: label, then one column per axis."""
     labels, coords, _ = model.side(side)
-    return _matrix_csv(labels, coords, model.n_axes)
+    return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, coords)
 
 
 def contributions_csv(model: CAModel, side: str = "row") -> str:
     """Contribution shares as CSV: label, then one column per axis."""
     labels, _, contrib = model.side(side)
-    return _matrix_csv(labels, contrib, model.n_axes)
+    return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, contrib)
 
 
-# The coordinate and contribution matrices are written by a numpy formatter
-# whose bytes are those of format(v, ".12g").  A cell's text is
-# digits[0..X] "." digits[X+1..] when its decimal exponent X is in -4..11,
-# and d "." ddd "e" X otherwise, with the 12 significant digits rounded
-# correctly and trailing zeros dropped.  A cell is decided here only when
-# those digits provably come out right; _fmt (CPython's dtoa) writes every
-# other cell.  Each cell goes into a 24-byte slot, NUL where it has no byte:
+# Every CA table is written by a numpy formatter whose bytes are those of
+# format(v, ".12g").  A cell's text is digits[0..X] "." digits[X+1..] when
+# its decimal exponent X is in -4..11, and d "." ddd "e" X otherwise, with
+# the 12 significant digits rounded correctly and trailing zeros dropped.  A
+# cell is decided here only when those digits provably come out right; _fmt
+# (CPython's dtoa) writes every other cell.  Each cell goes into a 24-byte
+# slot, NUL where it has no byte:
 #
 #     bytes 0-6    ",", "-" if negative, "0.0.." if -4 <= X < 0 (right-justified)
 #     bytes 7-19   the digits, with a "." after digit X, or after digit 0
@@ -273,10 +266,9 @@ _SLOT = 24  # the longest cell, ",-0.000123456789012", has 19 bytes
 # to the exact product, and no tie is possible.
 _TIE_MARGIN = 2.0**-14
 # The writer's arrays take about 90 bytes per cell (its tracemalloc peak
-# over one block).  A block of 512 KB of them stays in cache, and what it
-# leaves resident stays small beside the output string.
-_CELL_BYTES = 90
-_BLOCK_BYTES = 512 << 10
+# over one block).  A block of 512 KB of them, 524288 // 90 cells, stays in
+# cache, and what it leaves resident stays small beside the output string.
+_BLOCK_CELLS = 5825
 _U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
 
 
@@ -298,16 +290,19 @@ def _slot_tables() -> SimpleNamespace:
     exponents = range(-12, 13)
     fixed = [-4 <= x < 12 for x in exponents]
     prefixes = [b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in exponents]
-    # By layout c = 13 * last + p, over the 16 bytes of the digits: keep
-    # digits 0..last, move those after digit p on by one byte and put a "."
-    # into the gap; p = 12 means no ".".
+    # By layout c = 12 * e + last, last the index of the last nonzero digit,
+    # over the 16 bytes of the digits: keep digits 0..keep (a fixed layout
+    # keeps its integer digits, zero or not), move those after digit p on by
+    # one byte and put a "." into the gap.  p is X, or 0 in the exponent
+    # layout; p = keep, no ".", where no digit follows or "0.00" holds it.
     moves, stays, dots = [], [], []
-    for last in range(12):
-        for p in range(13):
-            move = b"\0" * (p + 1) + b"\xff" * (last - p) if p < last else b""
-            moves.append(_le(move.ljust(16, b"\0")))
-            stays.append(_le((b"\xff" * (min(p, last) + 1)).ljust(16, b"\0")))
-            dots.append(_le((b"\0" * (p + 1) + b".").ljust(16, b"\0")) if p < 12 else 0)
+    for x, f in zip(exponents, fixed):
+        for last in range(12):
+            keep, p = (max(last, x), x) if f else (last, 0)
+            p = p if 0 <= p < last else keep
+            moves.append(_le(b"\0" * (p + 1) + b"\xff" * (keep - p)))
+            stays.append(_le(b"\xff" * (p + 1)))
+            dots.append(_le(b"\0" * (p + 1) + b".") if p < keep else 0)
 
     def words(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([v & (2**64 - 1) for v in values], "<u8"),
@@ -321,11 +316,7 @@ def _slot_tables() -> SimpleNamespace:
         head=np.array([_le((sign + prefix).rjust(7, b"\0") + b"\0")
                        for sign in (b",", b",-") for prefix in prefixes], "<u8"),
         tail=np.array([0 if f else _le(b"e%+03d" % x) for x, f in zip(exponents, fixed)], "<u4"),
-        int_digits=np.array([max(x, 0) if f else 0 for x, f in zip(exponents, fixed)], np.int8),
-        dot_after=np.array([(x if x >= 0 else 12) if f else 0 for x, f in zip(exponents, fixed)],
-                           np.int8),
         stay=words(stays), move=words(moves), dot=words(dots))
-
 
 
 def _format_block(x: np.ndarray) -> bytearray:
@@ -352,7 +343,7 @@ def _format_block(x: np.ndarray) -> bytearray:
     # next power of ten.  _fmt writes both.
     fast &= (s >= 1e11) & (N < 1e12) & (np.abs(s - N) < 0.5 - _TIE_MARGIN)
     n = np.where(fast, N, 1e11).astype(np.int64)
-    del a, s, N  # temporaries go as soon as they are used: _CELL_BYTES counts what is left
+    del a, s, N  # temporaries go as soon as they are used: the 90 bytes a cell counts what is left
 
     g0 = n // 100000000  # three 4-digit groups
     n -= g0 * 100000000
@@ -364,14 +355,9 @@ def _format_block(x: np.ndarray) -> bytearray:
     lo = t.chars[g0] | (t.chars[g1] << _U32)  # digits 0-7
     hi = t.chars[g2]  # digits 8-11
     del g0, g1, g2
-    # The layout c = 13 * last + p: the last digit written (a fixed layout
-    # keeps its integer digits, zero or not) and the digit "." follows.
-    p = t.dot_after[e]
-    p = np.where(last_nonzero > p, p, np.int8(12))  # 12: no "." without a digit after it
-    c = np.maximum(last_nonzero, t.int_digits[e]).astype(np.intp)
-    c *= 13
-    c += p
-    del p, last_nonzero
+    c = e * 12  # the layout, 12 * e + last_nonzero
+    c += last_nonzero
+    del last_nonzero
 
     moved = lo & t.move[0][c]
     # Each field's high bytes are NUL, and the next field overwrites them.
@@ -395,11 +381,10 @@ def _bodies(matrix: np.ndarray, step: int) -> Iterator[str]:
             yield buf[i:i + width].translate(None, b"\0").decode("ascii")
 
 
-def _matrix_csv(labels: tuple[str, ...], matrix: np.ndarray, n_axes: int) -> str:
+def _matrix_csv(header: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> str:
     """Quote labels with csv; format the numbers in blocks of rows."""
-    step = max(1, _BLOCK_BYTES // _CELL_BYTES // max(n_axes, 1))
-    rows = labelled_csv(["label", *(f"axis_{k + 1}" for k in range(n_axes))], labels,
-                        _bodies(matrix, step))
+    step = max(1, _BLOCK_CELLS // max(matrix.shape[1], 1))
+    rows = labelled_csv(header, labels, _bodies(matrix, step))
     # CPython resizes a string that nothing else references in place, so
     # appending block by block peaks at the output plus a block, where
     # "".join(rows) would hold the output twice.

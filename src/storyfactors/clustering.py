@@ -357,9 +357,17 @@ def dendrogram_to_text(dendrogram: Dendrogram) -> str:
     return out.getvalue()
 
 
+def _fields(line: str, *types: type) -> tuple:
+    """The fields after a record's kind, converted by ``types``; an error quotes the line."""
+    try:
+        return tuple(convert(field) for convert, field in zip(types, line.split()[1:], strict=True))
+    except ValueError:
+        raise ValueError(f"malformed record: {line!r}") from None
+
+
 def dendrogram_from_text(text: str) -> Dendrogram:
     """Parse :func:`dendrogram_to_text` output; exact round-trip."""
-    header: dict[str, str] = {}  # the criterion and leaves records
+    header: dict[str, str | int] = {}  # the criterion and leaves records
     labels: list[str] = []
     merges: list[tuple[int, int, float, int]] = []
     for line in text.splitlines():
@@ -367,18 +375,17 @@ def dendrogram_from_text(text: str) -> Dendrogram:
         if kind in ("criterion", "leaves"):
             if kind in header:
                 raise ValueError(f"second {kind} line: {line!r}")
-            header[kind] = rest
+            header[kind] = _fields(line, int)[0] if kind == "leaves" else rest
         elif kind == "leaf":
             index, _, label = rest.partition(" ")
             if index != str(len(labels)):
                 raise ValueError(f"expected leaf {len(labels)}, got {line!r}")
             labels.append(_LABEL_ESCAPED.sub(lambda m: chr(int(m[1], 16)), label))
         elif kind == "merge":
-            left, right, height, size = rest.split()
-            merges.append((int(left), int(right), float(height), int(size)))
+            merges.append(_fields(line, int, int, float, int))
         elif line.strip():
             raise ValueError(f"unrecognized dendrogram line: {line!r}")
-    return Dendrogram(tuple(merges), int(header.get("leaves", 0)),
+    return Dendrogram(tuple(merges), header.get("leaves", 0),
                       header.get("criterion", ""), tuple(labels))
 
 

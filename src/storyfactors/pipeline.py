@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import ca, characterize, clustering, corpus, plots, textprep
-from ._formats import lines
+from ._formats import lines, read_text
 
 _UNITS = ("sentence", "paragraph")
 _CRITERIA = ("ward", "constrained")
@@ -292,7 +292,7 @@ def _segment_ids(config: PipelineConfig, result: PipelineResult) -> tuple[np.nda
 # (as storybench/spans.py installs them) see every call.
 
 def _segment(config: PipelineConfig, result: PipelineResult) -> str:
-    text = Path(config.input_text).read_text(encoding="utf-8-sig")  # drops a byte-order mark
+    text = read_text(config.input_text)
     abbreviations = (corpus.load_word_list(config.abbreviations)
                      if config.abbreviations else frozenset())
     records = textprep.segment_text(text, abbreviations=abbreviations)

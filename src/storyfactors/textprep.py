@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._formats import read_csv, write_csv
+from ._formats import read_csv, read_text, write_csv
 
 # A run of terminators, then any closing punctuation that belongs to the
 # sentence it ends: all of the run, and only when the run is followed by
@@ -106,8 +106,7 @@ def segment_text(raw_text: str, abbreviations: frozenset[str] = frozenset()) -> 
 
 def load_speaker_map(path: str | Path) -> dict[int, str]:
     """Read a ``paragraph_id,label`` CSV into a dict."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        header, rows = read_csv(handle.read())
+    header, rows = read_csv(read_text(path))
     if header != ["paragraph_id", "label"]:
         raise ValueError(f"speaker map header must be paragraph_id,label, got {header!r}")
     mapping: dict[int, str] = {}

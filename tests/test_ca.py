@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyfactors import ca, plots
-from storyfactors._formats import labelled_csv
+from storyfactors._formats import labelled_csv, write_csv
 from storyfactors.corpus import CellCounts
 
 from conftest import random_table
@@ -378,6 +378,26 @@ def test_inertia_csv_layout():
     assert float(first[2]) == pytest.approx(float(first[1]) ** 2, rel=1e-10)
 
 
+def _per_axis_inertia_csv(model):
+    """``inertia_table_csv`` as it was before the numpy writer, kept as the bitwise reference."""
+    cumulative = ca.cumulative_inertia(model)
+    rows = []
+    for k, sigma in enumerate(model.singular_values):
+        sq = sigma**2
+        rows.append([k + 1, ca._fmt(sigma), ca._fmt(sq), ca._fmt(100.0 * sq / model.total_inertia),
+                     ca._fmt(cumulative[k])])
+    return write_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"], rows)
+
+
+def test_inertia_csv_matches_per_axis_formatting(sentence_sized_model):
+    rank_one = ca.fit_ca(_table([[1, 2], [2, 4]]))
+    assert rank_one.n_axes == 0
+    models = [model for _, model in _random_models(40, seed=41)] + [sentence_sized_model, rank_one]
+    for model in models:
+        assert ca.inertia_table_csv(model) == _per_axis_inertia_csv(model)
+    assert ca.inertia_table_csv(rank_one) == "axis,sigma,sigma_sq,percent,cumulative\n"
+
+
 def test_coordinate_and_contribution_csv_layout():
     model = ca.fit_ca(_table([[9, 1, 1], [1, 8, 2], [2, 1, 7]]))
     coord_lines = ca.coordinates_csv(model, side="row").splitlines()
@@ -429,7 +449,8 @@ def test_matrix_csv_matches_per_cell_formatting():
         if n_axes:
             matrix[0] = [np.inf, -0.0, np.nan, 1e16][:n_axes]
             matrix[1, 0] = 123456789012.5
-        assert ca._matrix_csv(labels, matrix, n_axes) == _per_cell_matrix_csv(labels, matrix, n_axes)
+        header = ["label", *(f"axis_{k + 1}" for k in range(n_axes))]
+        assert ca._matrix_csv(header, labels, matrix) == _per_cell_matrix_csv(labels, matrix, n_axes)
 
 
 def _template_matrix_csv(labels, matrix, n_axes):
@@ -442,7 +463,8 @@ def _template_matrix_csv(labels, matrix, n_axes):
 def _assert_writes_like_dtoa(values, n_axes):
     matrix = np.asarray(values, dtype=np.float64).reshape(-1, n_axes)
     labels = tuple(f"r{i}" for i in range(len(matrix)))
-    written = ca._matrix_csv(labels, matrix, n_axes).split("\n")
+    header = ["label", *(f"axis_{k + 1}" for k in range(n_axes))]
+    written = ca._matrix_csv(header, labels, matrix).split("\n")
     assert written == _template_matrix_csv(labels, matrix, n_axes).split("\n")
 
 
@@ -463,7 +485,7 @@ def test_matrix_csv_matches_dtoa_on_raw_bit_patterns(bits, n_axes, block_rows):
     bits += [0] * (-len(bits) % n_axes)
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     with pytest.MonkeyPatch.context() as patch:  # several blocks of block_rows rows
-        patch.setattr(ca, "_BLOCK_BYTES", block_rows * n_axes * ca._CELL_BYTES)
+        patch.setattr(ca, "_BLOCK_CELLS", block_rows * n_axes)
         _assert_writes_like_dtoa(values, n_axes)
 
 
@@ -488,8 +510,8 @@ def _hard_values():
 def test_matrix_csv_matches_dtoa_on_hard_values(block_rows, monkeypatch):
     values = _hard_values()
     if block_rows is not None:
-        monkeypatch.setattr(ca, "_BLOCK_BYTES", block_rows * 4 * ca._CELL_BYTES)
-    assert len(values) // 4 > ca._BLOCK_BYTES // ca._CELL_BYTES // 4  # more rows than a block
+        monkeypatch.setattr(ca, "_BLOCK_CELLS", block_rows * 4)
+    assert len(values) // 4 > ca._BLOCK_CELLS // 4  # more rows than a block
     _assert_writes_like_dtoa(values, 4)
 
 

@@ -643,6 +643,11 @@ def test_dendrogram_validation():
         (tree + "criterion constrained_complete\n",
          "second criterion line: 'criterion constrained_complete'"),
         (tree.replace("leaves 2\n", "leaves 2\nleaves 2\n"), "second leaves line: 'leaves 2'"),
+        (tree.replace("leaves 2", "leaves x"), "malformed record: 'leaves x'"),
+        (tree.replace("merge 0 1 1.0 2", "merge 0 1 1.0"), "malformed record: 'merge 0 1 1.0'"),
+        (tree.replace("merge 0 1 1.0 2", "merge 0 1 1.0 2 9"),
+         "malformed record: 'merge 0 1 1.0 2 9'"),
+        (tree.replace("merge 0 1 1.0 2", "merge 0 1 x 2"), "malformed record: 'merge 0 1 x 2'"),
     ]:
         with pytest.raises(ValueError) as info:
             clustering.dendrogram_from_text(text)

@@ -671,6 +671,24 @@ def test_cli_reports_config_errors(mini, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, stage", [
+    ("input_text", "segment"), ("abbreviations", "segment"), ("speakers", "segment"),
+    ("stopwords", "filter"), ("lexicon", "filter"), ("segment_file", "aggregate"),
+    (None, None),  # the config itself
+])
+def test_cli_names_an_input_file_that_is_not_utf8(mini, capsys, key, stage):
+    root, write_config = mini
+    bad = root / "latin1.txt"
+    bad.write_bytes("caf\u00e9\n".encode("latin-1"))
+    if key is None:
+        config, prefix = bad, "error: "
+    else:
+        config, prefix = write_config(**{key: bad.name}), f"error [{stage}] "
+        bad = bad.resolve()  # config paths are resolved
+    assert cli.main(["run", "--config", str(config), "--out", str(root / "out")]) == 1
+    assert capsys.readouterr().err == f"{prefix}{bad}: not UTF-8: invalid continuation byte at byte 3\n"
+
+
 CA_FILES = {"row_coords": ("coordinates_csv", "row"), "col_coords": ("coordinates_csv", "col"),
             "row_contrib": ("contributions_csv", "row"),
             "col_contrib": ("contributions_csv", "col")}
