@@ -184,8 +184,11 @@ def top_contributors(
 ) -> list[tuple[str, float]]:
     """Top-``k`` labels by contribution summed over ``axes`` (1-based).
 
-    Descending by summed contribution, ties broken by label order.
+    Descending by summed contribution, ties broken by label order; ``k``
+    must not be negative.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     axis_list = sorted(set(axes))
     if not axis_list:
         raise ValueError("no axes given")
@@ -385,9 +388,10 @@ def _matrix_csv(header: Sequence[str], labels: Sequence[str], matrix: np.ndarray
     """Quote labels with csv; format the numbers in blocks of rows."""
     step = max(1, _BLOCK_CELLS // max(matrix.shape[1], 1))
     rows = labelled_csv(header, labels, _bodies(matrix, step))
-    # CPython resizes a string that nothing else references in place, so
-    # appending block by block peaks at the output plus a block, where
-    # "".join(rows) would hold the output twice.
+    # CPython's in-place += resizes a string that nothing else references,
+    # so appending block by block peaks at the output plus a block, where
+    # "".join(rows) would hold the output twice.  A trace function
+    # (sys.settrace) turns that off: every += then copies the text.
     text = next(rows)
     for _ in range(0, len(labels), step):
         text += "".join(islice(rows, step))

@@ -14,6 +14,11 @@ differences for wider blocks: O(n) memory.  A merge of short intervals
 reads its distances from the band in plain Python.  Nodes are numbered
 like scipy: leaves 0..n-1 in chronological order, merge t creates node
 n+t.
+
+One leaf order serves the cuts and the drawn tree (:func:`leaf_order`):
+of a merge's two children, the one holding the earlier leaf comes first.
+Every cluster of a cut is a run of that order, and cluster ids follow
+each cluster's earliest leaf.
 """
 
 from __future__ import annotations
@@ -296,14 +301,39 @@ def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
     return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)
 
 
-def _components(dendrogram: Dendrogram, n_merges: int) -> list[list[int]]:
-    """Leaf index sets of the forest after applying the first ``n_merges`` merges."""
+def _subtrees(dendrogram: Dendrogram, k: int) -> list[list[int]]:
+    """Leaves of the ``k`` subtrees left after the first ``n - k`` merges.
+
+    The subtrees come in order of their earliest leaf, each with its
+    leaves in the module's leaf order: one pass over the merges orders
+    every node's children, and a stack walk lists each subtree.
+    """
     n = dendrogram.n_leaves
-    nodes: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for step in range(n_merges):
-        left, right, _height, _size = dendrogram.merges[step]
-        nodes[n + step] = nodes.pop(left) + nodes.pop(right)
-    return sorted(nodes.values(), key=min)
+    first = list(range(n)) + [0] * (n - 1)  # each node's earliest leaf
+    children: list[tuple[int, int]] = []
+    for step, (left, right, _height, _size) in enumerate(dendrogram.merges):
+        if first[right] < first[left]:
+            left, right = right, left
+        children.append((left, right))
+        first[n + step] = first[left]
+    merged = {child for pair in children[:n - k] for child in pair}
+    roots = sorted((node for node in range(2 * n - k) if node not in merged), key=first.__getitem__)
+    subtrees = []
+    for root in roots:
+        leaves, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            if node < n:
+                leaves.append(node)
+            else:
+                stack.extend(reversed(children[node - n]))
+        subtrees.append(leaves)
+    return subtrees
+
+
+def leaf_order(dendrogram: Dendrogram) -> list[int]:
+    """Left-to-right leaf order of the whole tree, as the module docstring defines it."""
+    return _subtrees(dendrogram, 1)[0]
 
 
 def cut_k(dendrogram: Dendrogram, k: int) -> Partition:
@@ -315,13 +345,9 @@ def cut_k(dendrogram: Dendrogram, k: int) -> Partition:
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    components = _components(dendrogram, n - k)
-    cluster_of = {}
-    for cid, component in enumerate(components, start=1):
-        for leaf in component:
-            cluster_of[leaf] = cid
-    assignment = {dendrogram.labels[i]: cluster_of[i] for i in range(n)}
-    return Partition(k, assignment)
+    subtrees = _subtrees(dendrogram, k)
+    cluster_of = {leaf: cid for cid, leaves in enumerate(subtrees, start=1) for leaf in leaves}
+    return Partition(k, {label: cluster_of[i] for i, label in enumerate(dendrogram.labels)})
 
 
 def cut_max_gap(dendrogram: Dendrogram) -> Partition:

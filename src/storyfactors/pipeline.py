@@ -97,6 +97,8 @@ class PipelineConfig:
         if self.segment_sizes is not None:
             if self.segment_file is not None:
                 raise ValueError("give segment sizes/ranges or a segment file, not both")
+            if not self.segment_sizes:
+                raise ValueError("segment_sizes must name at least one segment")
             if any(s < 1 for s in self.segment_sizes):
                 raise ValueError("segment sizes must be positive")
         if self.segment_by not in ("paragraph", "row"):
@@ -114,8 +116,7 @@ class PipelineConfig:
                 raise ValueError("cut k must be >= 1")
         if not 0.0 < self.vtest_alpha < 1.0:
             raise ValueError("vtest_alpha must lie strictly between 0 and 1")
-        ax, ay = self.plot_axes
-        if ax < 1 or ay < 1 or ax == ay:
+        if len(self.plot_axes) != 2 or min(self.plot_axes) < 1 or self.plot_axes[0] == self.plot_axes[1]:
             raise ValueError(f"plot_axes must name two distinct axes, got {self.plot_axes}")
         if self.plot_top_k < 1:
             raise ValueError("plot_top_k must be >= 1")

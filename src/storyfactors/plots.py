@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ca import CAModel
-from .clustering import Dendrogram
+from .clustering import Dendrogram, leaf_order
 
 # Point/label styling shared by both renderers.
 _ROW_COLOR = "#1f77b4"
@@ -189,34 +189,6 @@ def render_factor_plane(
     return svg.document()
 
 
-def _leaf_order(dendrogram: Dendrogram) -> list[int]:
-    """Left-to-right leaf order of the merge tree.
-
-    Children are visited earliest-member first, which reproduces the
-    chronological order 1..n for contiguity-constrained trees and a
-    deterministic seriation for unconstrained ones.
-    """
-    n = dendrogram.n_leaves
-    children: dict[int, tuple[int, int]] = {}
-    first = list(range(n)) + [0] * (n - 1)
-    for step, (left, right, _, _) in enumerate(dendrogram.merges):
-        node = n + step
-        a, b = sorted((left, right), key=lambda c: first[c])
-        children[node] = (a, b)
-        first[node] = first[a]
-    order: list[int] = []
-    stack = [2 * n - 2] if n > 1 else [0]
-    while stack:
-        node = stack.pop()
-        if node < n:
-            order.append(node)
-        else:
-            a, b = children[node]
-            stack.append(b)
-            stack.append(a)
-    return order
-
-
 def render_dendrogram(
     dendrogram: Dendrogram,
     cut: int | None = None,
@@ -224,14 +196,14 @@ def render_dendrogram(
 ) -> str:
     """Draw a merge tree as an SVG document string.
 
-    Leaves sit on the baseline in tree order (chronological for
-    constrained trees); each merge is an inverted U at its height.  With
-    ``cut`` a dashed line is drawn at the level separating ``cut``
-    clusters, i.e. between the last two merge heights it straddles.
+    Leaves sit on the baseline in :func:`clustering.leaf_order`; each
+    merge is an inverted U at its height.  With ``cut`` a dashed line is
+    drawn at the level separating ``cut`` clusters, i.e. between the last
+    two merge heights it straddles.
     """
     n = dendrogram.n_leaves
     merges = dendrogram.merges
-    order = _leaf_order(dendrogram)
+    order = leaf_order(dendrogram)
     width, height = _TREE_WIDTH, _TREE_HEIGHT
     margin_l, margin_r, margin_t, margin_b = 64.0, 24.0, 30.0, 60.0
     span = width - margin_l - margin_r

@@ -28,7 +28,7 @@ labels = tuple(map(str, range(300)))
 storyfactors.fit_ca(storyfactors.CellCounts.of(labels, labels, counts))
 threads = None
 if os.path.exists("/proc/self/status"):
-    with open("/proc/self/status") as status:
+    with open("/proc/self/status", encoding="utf-8") as status:
         threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
 print(json.dumps({"environ_kept": dict(os.environ) == before,
                   "openblas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
@@ -44,7 +44,7 @@ def _env(**thread_vars: str) -> dict[str, str]:
 
 def _probe(**thread_vars: str) -> dict:
     done = subprocess.run([sys.executable, "-c", PROBE], env=_env(**thread_vars),
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, encoding="utf-8", check=True)
     return json.loads(done.stdout)
 
 
@@ -68,7 +68,7 @@ def test_cli_bytes_do_not_depend_on_the_thread_variables(tmp_path):
                       f"abbreviations = {DATA / 'abbreviations.txt'}\n"
                       f"stopwords = {DATA / 'stopwords_english.txt'}\n"
                       "min_total_count = 3\nmin_doc_count = 3\nmin_word_length = 2\n"
-                      "cluster = ward\ncut = 11\n")
+                      "cluster = ward\ncut = 11\n", encoding="utf-8")
     outputs = []
     for name, env in (("unset", _env()), ("one", _env(OPENBLAS_NUM_THREADS="1"))):
         out = tmp_path / name

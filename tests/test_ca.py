@@ -355,6 +355,11 @@ def test_top_contributors_ranking_and_ties():
         ca.top_contributors(model, [2], k=1)
     with pytest.raises(ValueError, match="side"):
         ca.top_contributors(model, [1], k=1, side="both")
+    # ranked[:k] with k < 0 would drop the last |k| labels
+    assert ca.top_contributors(model, [1], k=0) == []
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match=f"^k must be >= 0, got {k}$"):
+            ca.top_contributors(model, [1], k=k)
 
 
 def test_top_contributors_orders_by_summed_contribution():

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -620,6 +621,104 @@ def test_cut_max_gap_flat_heights_degenerate():
     assert partition.degenerate
     with pytest.raises(ValueError, match="at least 3"):
         clustering.cut_max_gap(_synthetic_dendrogram([1.0]))
+
+
+def _components_oracle(dendrogram, n_merges):
+    """Leaf lists of the forest after the first ``n_merges`` merges, concatenated at
+    every merge and sorted by earliest leaf: the quadratic reference for ``cut_k``."""
+    n = dendrogram.n_leaves
+    nodes = {i: [i] for i in range(n)}
+    for step in range(n_merges):
+        left, right, _height, _size = dendrogram.merges[step]
+        nodes[n + step] = nodes.pop(left) + nodes.pop(right)
+    return sorted(nodes.values(), key=min)
+
+
+def _cut_k_oracle(dendrogram, k):
+    n = dendrogram.n_leaves
+    cluster_of = {}
+    for cid, component in enumerate(_components_oracle(dendrogram, n - k), start=1):
+        for leaf in component:
+            cluster_of[leaf] = cid
+    return Partition(k, {dendrogram.labels[i]: cluster_of[i] for i in range(n)})
+
+
+def _leaf_order_oracle(dendrogram):
+    """A second walk of the tree, with its own children map: the reference for ``leaf_order``."""
+    n = dendrogram.n_leaves
+    children = {}
+    first = list(range(n)) + [0] * (n - 1)
+    for step, (left, right, _, _) in enumerate(dendrogram.merges):
+        node = n + step
+        a, b = sorted((left, right), key=lambda c: first[c])
+        children[node] = (a, b)
+        first[node] = first[a]
+    order = []
+    stack = [2 * n - 2] if n > 1 else [0]
+    while stack:
+        node = stack.pop()
+        if node < n:
+            order.append(node)
+        else:
+            a, b = children[node]
+            stack.append(b)
+            stack.append(a)
+    return order
+
+
+def _random_trees(seed, trials):
+    """Ward and constrained trees of random clouds, some with duplicated points or
+    all-tied coordinates, each also with its merges' children in random order."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        n = int(rng.integers(1, 26))
+        labels, coords = random_cloud_arrays(rng, n, duplicates=trial % 2 == 0)
+        if trial % 5 == 4:
+            coords = rng.integers(0, 2, size=(n, 1)).astype(float)
+        if n == 1:
+            yield Dendrogram((), 1, "ward", labels)
+            continue
+        for build in (clustering.ward_cluster, clustering.constrained_complete_link):
+            tree = build(PointCloud(labels, coords))
+            yield tree
+            swapped = tuple((right, left, h, size) if rng.random() < 0.5 else (left, right, h, size)
+                            for left, right, h, size in tree.merges)
+            yield Dendrogram(swapped, n, tree.criterion, labels)
+
+
+def test_cut_k_and_leaf_order_match_the_leaf_list_oracles():
+    for tree in _random_trees(seed=61, trials=60):
+        n = tree.n_leaves
+        order = clustering.leaf_order(tree)
+        assert order == _leaf_order_oracle(tree)
+        for k in range(1, n + 1):
+            partition = clustering.cut_k(tree, k)
+            expected = _cut_k_oracle(tree, k)
+            assert partition == expected
+            assert list(partition.assignment.items()) == list(expected.assignment.items())
+            # every cluster is one run of the leaf order
+            ids = [partition.assignment[tree.labels[leaf]] for leaf in order]
+            assert sum(a != b for a, b in zip(ids, ids[1:])) == k - 1
+
+
+def _right_chain(n):
+    """Leaf n - 2 joins leaf n - 1, then each earlier leaf joins the subtree made last."""
+    merges = [(n - 2, n - 1, 1.0, 2)]
+    for step in range(1, n - 1):
+        merges.append((n - 2 - step, n + step - 1, 1.0 + step, step + 2))
+    return Dendrogram(tuple(merges), n, "ward", tuple(f"p{i}" for i in range(n)))
+
+
+def test_cut_and_leaf_order_walk_a_chain_deeper_than_the_recursion_limit():
+    n = 20_000
+    assert n > sys.getrecursionlimit()
+    left = _synthetic_dendrogram([1.0 + step for step in range(n - 1)])
+    right = _right_chain(n)
+    for tree, second_cluster in ((left, [n - 1]), (right, range(1, n))):
+        assert clustering.leaf_order(tree) == list(range(n))
+        partition = clustering.cut_k(tree, 2)
+        ids = [partition.assignment[f"p{i}"] for i in range(n)]
+        assert [i for i, cid in enumerate(ids) if cid == 2] == list(second_cluster)
 
 
 def test_partition_members():

@@ -287,7 +287,7 @@ def test_aggregate_rejects_missing_rows_and_bad_ids():
 
 def test_load_word_list_strips_comments(tmp_path):
     path = tmp_path / "words.txt"
-    path.write_text("alpha\nbeta # inline\n# full line\n\ngamma\n")
+    path.write_text("alpha\nbeta # inline\n# full line\n\ngamma\n", encoding="utf-8")
     assert corpus.load_word_list(path) == frozenset({"alpha", "beta", "gamma"})
 
 

@@ -33,8 +33,8 @@ FULL_RUN_FILES = {
 
 @pytest.fixture()
 def mini(tmp_path):
-    (tmp_path / "story.txt").write_text(STORY)
-    (tmp_path / "stop.txt").write_text("the\nin\nat\na\nagain\n")
+    (tmp_path / "story.txt").write_text(STORY, encoding="utf-8")
+    (tmp_path / "stop.txt").write_text("the\nin\nat\na\nagain\n", encoding="utf-8")
 
     def write_config(name="mini.cfg", drop=(), **overrides):
         options = {
@@ -52,7 +52,7 @@ def mini(tmp_path):
         for key in drop:
             options.pop(key, None)
         path = tmp_path / name
-        path.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+        path.write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
         return path
 
     return tmp_path, write_config
@@ -74,11 +74,11 @@ def test_parse_config_rejects_bad_input(mini):
     with pytest.raises(ValueError, match="unknown config key"):
         pipeline.parse_config(write_config(colour="red"))
     duplicated = root / "dup.cfg"
-    duplicated.write_text("input_text = story.txt\ninput_text = story.txt\n")
+    duplicated.write_text("input_text = story.txt\ninput_text = story.txt\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate key"):
         pipeline.parse_config(duplicated)
     bare = root / "bare.cfg"
-    bare.write_text("just some words\n")
+    bare.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key = value"):
         pipeline.parse_config(bare)
     with pytest.raises(ValueError, match="missing required key"):
@@ -105,7 +105,7 @@ def test_parse_config_rejects_segment_sizes_with_segment_ranges(mini):
     for first, second in (("segment_sizes = 1,1", "segment_ranges = 1-5"),
                           ("segment_ranges = 1-5", "segment_sizes = 1,1")):
         path = root / "both.cfg"
-        path.write_text(f"input_text = story.txt\n{first}\n# a comment\n{second}\n")
+        path.write_text(f"input_text = story.txt\n{first}\n# a comment\n{second}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}:4: give segment_sizes or segment_ranges, not both")):
             pipeline.parse_config(path)
@@ -123,7 +123,7 @@ def test_parse_config_rejects_segment_sizes_with_segment_ranges(mini):
 def test_parse_config_names_key_and_line_of_bad_value(mini, key, value):
     root, _ = mini
     path = root / "bad_value.cfg"
-    path.write_text(f"input_text = story.txt\n# a comment\n{key} = {value}\n")
+    path.write_text(f"input_text = story.txt\n# a comment\n{key} = {value}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad value for {key!r}: ")):
         pipeline.parse_config(path)
 
@@ -145,6 +145,21 @@ def test_config_validate_catches_bad_values(mini):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pipeline.parse_config(write_config(**{key: value}))
 
+
+def test_config_validate_names_the_key_of_a_library_caller_tuple(mini, tmp_path):
+    _, write_config = mini
+    config = pipeline.parse_config(write_config())
+    cases = [
+        ({"segment_sizes": ()}, "segment_sizes must name at least one segment"),
+        ({"plot_axes": (1,)}, "plot_axes must name two distinct axes, got (1,)"),
+        ({"plot_axes": (1, 2, 3)}, "plot_axes must name two distinct axes, got (1, 2, 3)"),
+    ]
+    for change, message in cases:
+        bad = dataclasses.replace(config, **change)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bad.validate()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pipeline.run_pipeline(bad, out_dir=tmp_path / "out")
 
 def test_full_run_artifacts_and_objects(mini):
     root, write_config = mini
@@ -172,24 +187,24 @@ def test_summary_counts_match_artifacts(mini):
     summary = {line.split(":")[0]: line for line in result.summary}
 
     n_sentences = int(re.search(r"segment: (\d+) sentences", summary["segment"])[1])
-    assert n_sentences == len(result.files["sentences"].read_text().splitlines()) - 1
+    assert n_sentences == len(result.files["sentences"].read_text(encoding="utf-8").splitlines()) - 1
 
     words, occurrences, rows = map(int, re.match(
         r"filter: (\d+) words, (\d+) occurrences, (\d+) non-empty rows",
         summary["filter"]).groups())
-    table = corpus.table_from_csv(result.files["table"].read_text())
+    table = corpus.table_from_csv(result.files["table"].read_text(encoding="utf-8"))
     assert (words, rows) == (table.shape[1], table.shape[0])
     assert occurrences == table.total
 
     sizes = [int(s) for s in re.search(r"sizes ([\d/]+)", summary["cut"])[1].split("/")]
-    partition_rows = result.files["partition"].read_text().splitlines()[1:]
+    partition_rows = result.files["partition"].read_text(encoding="utf-8").splitlines()[1:]
     counts = {}
     for line in partition_rows:
         counts[line.split(",")[1]] = counts.get(line.split(",")[1], 0) + 1
     assert sizes == [counts[str(c)] for c in range(1, len(sizes) + 1)]
 
     n_pairs = int(re.search(r"vtest: (\d+) significant", summary["vtest"])[1])
-    assert n_pairs == len(result.files["vtest"].read_text().splitlines()) - 1
+    assert n_pairs == len(result.files["vtest"].read_text(encoding="utf-8").splitlines()) - 1
 
 
 def test_filter_summary_counts_emptied_rows(mini):
@@ -288,7 +303,7 @@ def test_rerun_with_fewer_stages_leaves_only_its_own_artifacts(mini):
     root, write_config = mini
     out = root / "out"
     pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
-    (out / "notes.txt").write_text("not an artifact")
+    (out / "notes.txt").write_text("not an artifact", encoding="utf-8")
     assert cli.main(["cluster", "--config", str(write_config("k4.cfg", cut=4)),
                      "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
@@ -296,7 +311,8 @@ def test_rerun_with_fewer_stages_leaves_only_its_own_artifacts(mini):
         "row_coordinates.csv", "col_coordinates.csv",
         "row_contributions.csv", "col_contributions.csv",
         "dendrogram.txt", "partition.csv", "notes.txt"}
-    clusters = {line.split(",")[1] for line in (out / "partition.csv").read_text().splitlines()[1:]}
+    rows = (out / "partition.csv").read_text(encoding="utf-8").splitlines()[1:]
+    clusters = {line.split(",")[1] for line in rows}
     assert clusters == {"1", "2", "3", "4"}
 
 
@@ -314,7 +330,7 @@ def test_failed_rerun_leaves_no_artifacts_of_the_previous_run(mini):
 def test_empty_text_is_a_segment_error(mini):
     root, write_config = mini
     for name, text in (("empty.txt", ""), ("blank.txt", "  \n\n\t\n")):
-        (root / name).write_text(text)
+        (root / name).write_text(text, encoding="utf-8")
         config = pipeline.parse_config(write_config(input_text=name))
         with pytest.raises(pipeline.StageError) as excinfo:
             pipeline.run_pipeline(config, out_dir=root / "out")
@@ -339,9 +355,9 @@ def test_aggregated_run_adds_segment_artifacts(mini):
     assert names == FULL_RUN_FILES | {"table_segments.csv", "factor_plane_segments.svg"}
     assert result.table.shape[0] == 3
     assert any(line.startswith("aggregate: 3 segments") for line in result.summary)
-    trajectory = result.files["plane_rows"].read_text()
+    trajectory = result.files["plane_rows"].read_text(encoding="utf-8")
     assert trajectory.count('marker-end="url(#arrow)"') == 2
-    segments = corpus.table_from_csv(result.files["segments"].read_text())
+    segments = corpus.table_from_csv(result.files["segments"].read_text(encoding="utf-8"))
     assert segments.row_labels == ("1", "2", "3")
     assert segments.total == result.table.total
 
@@ -349,8 +365,7 @@ def test_aggregated_run_adds_segment_artifacts(mini):
 def test_segment_variants_produce_identical_tables(mini):
     root, write_config = mini
     (root / "seg.csv").write_text(
-        "".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10))
-    )
+        "".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10)), encoding="utf-8")
     configs = {
         "by_paragraph": write_config("p.cfg", segment_ranges="1-1,2-2,3-3"),
         "by_row": write_config("r.cfg", segment_ranges="1-3,4-6,7-9",
@@ -379,7 +394,7 @@ def test_segment_size_mismatch_is_a_stage_error(mini):
     with pytest.raises(pipeline.StageError, match=r"\[aggregate\]"):
         pipeline.run_pipeline(bad, out_dir=root / "bad")
     seg_file = root / "seg.csv"
-    seg_file.write_text("1,1\n# comment\nnolabel\n")
+    seg_file.write_text("1,1\n# comment\nnolabel\n", encoding="utf-8")
     malformed = pipeline.parse_config(write_config("file.cfg", segment_file="seg.csv"))
     with pytest.raises(pipeline.StageError,
                        match=rf"\[aggregate\] {re.escape(str(seg_file))}:3: expected 'label,segment'"):
@@ -389,7 +404,7 @@ def test_segment_size_mismatch_is_a_stage_error(mini):
 def test_segment_file_duplicate_label_is_a_stage_error(mini):
     root, write_config = mini
     seg_file = root / "seg.csv"
-    seg_file.write_text("1,1\n3,2\n# comment\n3,1\n")
+    seg_file.write_text("1,1\n3,2\n# comment\n3,1\n", encoding="utf-8")
     config = pipeline.parse_config(write_config(segment_file="seg.csv"))
     with pytest.raises(pipeline.StageError,
                        match=rf"\[aggregate\] {re.escape(str(seg_file))}:4: duplicate label '3'$"):
@@ -410,7 +425,7 @@ def _aggregate_error(root, config_path):
 
 def test_trailing_segment_the_filter_empties_is_a_stage_error(mini):
     root, write_config = mini
-    (root / "story.txt").write_text(STORY + "\n" + FILTERED_PARAGRAPH)
+    (root / "story.txt").write_text(STORY + "\n" + FILTERED_PARAGRAPH, encoding="utf-8")
     config = write_config(segment_sizes="1,1,1,1")
     assert _aggregate_error(root, config) == \
         "[aggregate] segment 4 of 4 has no rows after filtering"
@@ -426,35 +441,35 @@ def test_segments_past_the_last_paragraph_are_a_stage_error(mini):
 def test_middle_segment_the_filter_empties_is_a_stage_error(mini):
     root, write_config = mini
     first, rest = STORY.split("\n\n", 1)
-    (root / "story.txt").write_text(f"{first}\n\n{FILTERED_PARAGRAPH}\n{rest}")
+    (root / "story.txt").write_text(f"{first}\n\n{FILTERED_PARAGRAPH}\n{rest}", encoding="utf-8")
     assert _aggregate_error(root, write_config(segment_sizes="1,1,1,1")) == \
         "[aggregate] segment 2 of 4 has no rows after filtering"
     # The same segment declared by a segment file: sentence 4 is the emptied one.
     seg_file = root / "seg.csv"
     seg_file.write_text("".join(f"{i},{1 if i < 4 else 2 if i == 4 else 3}\n"
-                                for i in range(1, 11)))
+                                for i in range(1, 11)), encoding="utf-8")
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         "[aggregate] segment 2 of 3 has no rows after filtering"
     # A file whose own ids skip one is rejected as such.
-    seg_file.write_text("".join(f"{i},{1 if i < 4 else 3}\n" for i in range(1, 11)))
+    seg_file.write_text("".join(f"{i},{1 if i < 4 else 3}\n" for i in range(1, 11)), encoding="utf-8")
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         f"[aggregate] {seg_file}: segment ids must be 1..k, got 2 ids from 1 to 3"
 
 
 def test_segment_file_label_must_name_a_built_row(mini):
     root, write_config = mini
-    (root / "story.txt").write_text(STORY + "\n" + FILTERED_PARAGRAPH)
+    (root / "story.txt").write_text(STORY + "\n" + FILTERED_PARAGRAPH, encoding="utf-8")
     # Sentence 10 is built, then emptied by the filter: its label is allowed.
     sentences = "".join(f"{i},{min((i - 1) // 3 + 1, 3)}\n" for i in range(1, 11))
     seg_file = root / "seg.csv"
-    seg_file.write_text(sentences)
+    seg_file.write_text(sentences, encoding="utf-8")
     config = write_config(segment_file="seg.csv")
     result = pipeline.run_pipeline(pipeline.parse_config(config), out_dir=root / "ok",
                                    upto="aggregate")
     assert result.cells.row_labels[-1] == "10"
     assert result.summary[-1].startswith("aggregate: 3 segments")
     for bad in ("99,3", "sentence 4,2"):
-        seg_file.write_text(f"{sentences}# typo\n{bad}\n")
+        seg_file.write_text(f"{sentences}# typo\n{bad}\n", encoding="utf-8")
         label = bad.partition(",")[0]
         assert _aggregate_error(root, config) == \
             f"[aggregate] {seg_file}:12: label {label!r} names no row of the built table"
@@ -463,7 +478,7 @@ def test_segment_file_label_must_name_a_built_row(mini):
 def test_segment_file_must_give_every_kept_row_a_segment(mini):
     root, write_config = mini
     seg_file = root / "seg.csv"
-    seg_file.write_text("".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10) if i != 5))
+    seg_file.write_text("".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10) if i != 5), encoding="utf-8")
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         f"[aggregate] {seg_file}: row '5' has no segment"
 
@@ -471,7 +486,7 @@ def test_segment_file_must_give_every_kept_row_a_segment(mini):
 def test_segment_file_ids_must_not_fall_in_row_order(mini):
     root, write_config = mini
     seg_file = root / "seg.csv"
-    seg_file.write_text("".join(f"{i},{(1, 2, 1)[(i - 1) // 3]}\n" for i in range(1, 10)))
+    seg_file.write_text("".join(f"{i},{(1, 2, 1)[(i - 1) // 3]}\n" for i in range(1, 10)), encoding="utf-8")
     assert _aggregate_error(root, write_config(segment_file="seg.csv")) == \
         "[aggregate] segment ids are not contiguous in row order"
 
@@ -549,7 +564,7 @@ def test_paragraph_unit_runs_end_to_end(mini):
         pipeline.parse_config(write_config("s.cfg", unit="paragraph", segment_sizes="1,2", cut=2)),
         out_dir=root / "segments", upto="aggregate")
     assert segmented.summary[-1] == "aggregate: 2 segments"
-    assert segmented.files["segments"].read_text() == \
+    assert segmented.files["segments"].read_text(encoding="utf-8") == \
         corpus.table_to_csv(corpus.aggregate(result.table, [1, 2, 2]))
     assert _aggregate_error(root, write_config("short.cfg", unit="paragraph", segment_sizes="1,1")) \
         == "[aggregate] segment sizes cover paragraphs 1..2 but the table reaches paragraph 3"
@@ -559,12 +574,12 @@ def test_word_plane_draws_the_top_contributors(mini):
     root, write_config = mini
     config = pipeline.parse_config(write_config(plot_top_k=3))
     result = pipeline.run_pipeline(config, out_dir=root / "out")
-    svg = ET.fromstring(result.files["plane_cols"].read_text())
+    svg = ET.fromstring(result.files["plane_cols"].read_text(encoding="utf-8"))
     drawn = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")
              if text.get("fill") == "#d62728"]  # the word points' colour
     top = [word for word, _ in ca.top_contributors(result.model, (1, 2), 3, side="col")]
     assert len(drawn) == 3 and sorted(drawn) == sorted(top)
-    assert "top 3 contributing words" in result.files["plane_cols"].read_text()
+    assert "top 3 contributing words" in result.files["plane_cols"].read_text(encoding="utf-8")
 
 
 def test_plot_axes_that_collapse_are_a_plot_error(mini):
@@ -585,12 +600,12 @@ def test_plot_axes_that_collapse_are_a_plot_error(mini):
 def test_byte_order_mark_changes_no_result(mini, kind):
     # Some editors start a UTF-8 file with U+FEFF; every input reads the same with it.
     root, write_config = mini
-    (root / "story.txt").write_text(STORY.replace("A poet sees", "Mr. Poe sees"))
-    (root / "stop.txt").write_text("poet\nthe\n")  # each list's first entry counts
-    (root / "lexicon.txt").write_text("\n".join(VOCAB) + "\n")
-    (root / "abbreviations.txt").write_text("Mr\n")
-    (root / "speakers.csv").write_text("paragraph_id,label\n1,NARRATOR\n2,G\n3,DUPIN\n")
-    (root / "seg.csv").write_text("".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10)))
+    (root / "story.txt").write_text(STORY.replace("A poet sees", "Mr. Poe sees"), encoding="utf-8")
+    (root / "stop.txt").write_text("poet\nthe\n", encoding="utf-8")  # each list's first entry counts
+    (root / "lexicon.txt").write_text("\n".join(VOCAB) + "\n", encoding="utf-8")
+    (root / "abbreviations.txt").write_text("Mr\n", encoding="utf-8")
+    (root / "speakers.csv").write_text("paragraph_id,label\n1,NARRATOR\n2,G\n3,DUPIN\n", encoding="utf-8")
+    (root / "seg.csv").write_text("".join(f"{i},{(i - 1) // 3 + 1}\n" for i in range(1, 10)), encoding="utf-8")
     config = write_config(lexicon="lexicon.txt", abbreviations="abbreviations.txt",
                           speakers="speakers.csv", segment_file="seg.csv", cut=2)
 
@@ -607,12 +622,11 @@ def test_byte_order_mark_changes_no_result(mini, kind):
 def test_speaker_annotation_flows_into_sentences_csv(mini):
     root, write_config = mini
     (root / "speakers.csv").write_text(
-        "paragraph_id,label\n1,NARRATOR\n2,DUPIN\n3,PREFECT\n"
-    )
+        "paragraph_id,label\n1,NARRATOR\n2,DUPIN\n3,PREFECT\n", encoding="utf-8")
     config = pipeline.parse_config(write_config(speakers="speakers.csv"))
     result = pipeline.run_pipeline(config, out_dir=root / "out", upto="tokenize")
     assert {r.speaker for r in result.sentences} == {"NARRATOR", "DUPIN", "PREFECT"}
-    lines = result.files["sentences"].read_text().splitlines()
+    lines = result.files["sentences"].read_text(encoding="utf-8").splitlines()
     assert lines[1].split(",")[2] == "NARRATOR"
     assert lines[-1].split(",")[2] == "PREFECT"
 

@@ -211,7 +211,7 @@ def test_cut_line_between_straddled_heights():
 
 def test_constrained_leaves_stay_chronological():
     dendrogram = _constrained_dendrogram(n=12)
-    assert plots._leaf_order(dendrogram) == list(range(12))
+    assert clustering.leaf_order(dendrogram) == list(range(12))
 
 
 def test_ward_leaf_order_is_a_permutation():
@@ -219,7 +219,7 @@ def test_ward_leaf_order_is_a_permutation():
     cloud = clustering.PointCloud(
         tuple(f"p{i}" for i in range(9)), rng.normal(size=(9, 3))
     )
-    order = plots._leaf_order(clustering.ward_cluster(cloud))
+    order = clustering.leaf_order(clustering.ward_cluster(cloud))
     assert sorted(order) == list(range(9))
 
 

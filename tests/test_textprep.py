@@ -190,7 +190,7 @@ def test_split_sentences_matches_per_character_loop(raw, abbreviations):
 
 def test_load_abbreviations_strips_comments(tmp_path):
     path = tmp_path / "abbrev.txt"
-    path.write_text("Mr\nDr  # honorific\n# whole-line comment\n\nSt\n")
+    path.write_text("Mr\nDr  # honorific\n# whole-line comment\n\nSt\n", encoding="utf-8")
     assert corpus.load_word_list(path) == frozenset({"Mr", "Dr", "St"})
 
 
@@ -240,26 +240,26 @@ def test_annotate_speakers_requires_exact_cover():
 
 def test_load_speaker_map_validates(tmp_path):
     good = tmp_path / "speakers.csv"
-    good.write_text("paragraph_id,label\n1,NARRATOR\n2,DUPIN\n")
+    good.write_text("paragraph_id,label\n1,NARRATOR\n2,DUPIN\n", encoding="utf-8")
     assert textprep.load_speaker_map(good) == {1: "NARRATOR", 2: "DUPIN"}
 
     bad_header = tmp_path / "bad.csv"
-    bad_header.write_text("paragraph,label\n1,X\n")
+    bad_header.write_text("paragraph,label\n1,X\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         textprep.load_speaker_map(bad_header)
 
     duplicate = tmp_path / "dup.csv"
-    duplicate.write_text("paragraph_id,label\n1,X\n1,Y\n")
+    duplicate.write_text("paragraph_id,label\n1,X\n1,Y\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         textprep.load_speaker_map(duplicate)
 
     bad_id = tmp_path / "bad_id.csv"
-    bad_id.write_text("paragraph_id,label\n1,X\nx,Y\n")
+    bad_id.write_text("paragraph_id,label\n1,X\nx,Y\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"{re.escape(str(bad_id))}:3: expected 'paragraph_id,label'"):
         textprep.load_speaker_map(bad_id)
 
     no_label = tmp_path / "no_label.csv"
-    no_label.write_text("paragraph_id,label\n1\n")
+    no_label.write_text("paragraph_id,label\n1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"{re.escape(str(no_label))}:2: expected"):
         textprep.load_speaker_map(no_label)
 
@@ -267,18 +267,18 @@ def test_load_speaker_map_validates(tmp_path):
 def test_load_speaker_map_reports_duplicate_with_path_and_line(tmp_path):
     # A blank row before the repeat, so the line number counts file lines.
     duplicate = tmp_path / "dup.csv"
-    duplicate.write_text("paragraph_id,label\n1,X\n\n2,Y\n1,Z\n")
+    duplicate.write_text("paragraph_id,label\n1,X\n\n2,Y\n1,Z\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(duplicate))}:5: duplicate paragraph id 1$"):
         textprep.load_speaker_map(duplicate)
 
 
 def test_load_speaker_map_rejects_an_unquoted_comma_in_the_label(tmp_path):
     unquoted = tmp_path / "unquoted.csv"
-    unquoted.write_text("paragraph_id,label\n1,Dupin, C. Auguste\n")
+    unquoted.write_text("paragraph_id,label\n1,Dupin, C. Auguste\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(unquoted))}:2: expected "
                                          r"'paragraph_id,label', got '1,Dupin, C. Auguste'$"):
         textprep.load_speaker_map(unquoted)
 
     quoted = tmp_path / "quoted.csv"
-    quoted.write_text('paragraph_id,label\n1,"Dupin, C. Auguste"\n')
+    quoted.write_text('paragraph_id,label\n1,"Dupin, C. Auguste"\n', encoding="utf-8")
     assert textprep.load_speaker_map(quoted) == {1: "Dupin, C. Auguste"}
