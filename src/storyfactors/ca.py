@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
@@ -124,8 +123,13 @@ def fit_ca(table: CellCounts) -> CAModel:
     threshold = max(_REL_TRIM * sigma[0], _ABS_TRIM)
     K = min(k_max, int((sigma > threshold).sum()))
     sigma = sigma[:K].copy()
-    F = U[:, :K] * sigma / np.sqrt(r)[:, None]
-    G = Vt[:K].T * sigma / np.sqrt(c)[:, None]
+    # In place below, in each formula's operation order; U and Vt go once read.
+    F = U[:, :K] * sigma
+    del U
+    F /= np.sqrt(r)[:, None]
+    G = Vt[:K].T * sigma
+    del Vt
+    G /= np.sqrt(c)[:, None]
 
     # Sign convention: per axis, the canonical-orientation column
     # coordinate of largest absolute value is positive; argmax takes the
@@ -135,8 +139,12 @@ def fit_ca(table: CellCounts) -> CAModel:
     np.negative(G, out=G, where=flip)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        row_contrib = r[:, None] * F**2 / sigma**2
-        col_contrib = c[:, None] * G**2 / sigma**2
+        row_contrib = F**2
+        row_contrib *= r[:, None]
+        row_contrib /= sigma**2
+        col_contrib = G**2
+        col_contrib *= c[:, None]
+        col_contrib /= sigma**2
 
     if transposed:  # hand each (masses, coords, contrib) triple back to its side
         (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)
@@ -227,7 +235,7 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def inertia_table_csv(model: CAModel) -> str:
+def inertia_table_csv(model: CAModel) -> list[str]:
     """One line per axis: axis, sigma, sigma^2, percent, cumulative percent."""
     sigma, sq = model.singular_values, model.singular_values**2
     table = np.column_stack([sigma, sq, 100 * sq / model.total_inertia, cumulative_inertia(model)])
@@ -235,13 +243,13 @@ def inertia_table_csv(model: CAModel) -> str:
                        [str(k) for k in range(1, model.n_axes + 1)], table)
 
 
-def coordinates_csv(model: CAModel, side: str = "row") -> str:
+def coordinates_csv(model: CAModel, side: str = "row") -> list[str]:
     """Principal coordinates as CSV: label, then one column per axis."""
     labels, coords, _ = model.side(side)
     return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, coords)
 
 
-def contributions_csv(model: CAModel, side: str = "row") -> str:
+def contributions_csv(model: CAModel, side: str = "row") -> list[str]:
     """Contribution shares as CSV: label, then one column per axis."""
     labels, _, contrib = model.side(side)
     return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, contrib)
@@ -270,7 +278,7 @@ _SLOT = 24  # the longest cell, ",-0.000123456789012", has 19 bytes
 _TIE_MARGIN = 2.0**-14
 # The writer's arrays take about 90 bytes per cell (its tracemalloc peak
 # over one block).  A block of 512 KB of them, 524288 // 90 cells, stays in
-# cache, and what it leaves resident stays small beside the output string.
+# cache, and what it leaves resident stays small beside the output lines.
 _BLOCK_CELLS = 5825
 _U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
 
@@ -384,15 +392,7 @@ def _bodies(matrix: np.ndarray, step: int) -> Iterator[str]:
             yield buf[i:i + width].translate(None, b"\0").decode("ascii")
 
 
-def _matrix_csv(header: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> str:
-    """Quote labels with csv; format the numbers in blocks of rows."""
+def _matrix_csv(header: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> list[str]:
+    """The CSV lines, header first: labels quoted by csv, numbers formatted in blocks of rows."""
     step = max(1, _BLOCK_CELLS // max(matrix.shape[1], 1))
-    rows = labelled_csv(header, labels, _bodies(matrix, step))
-    # CPython's in-place += resizes a string that nothing else references,
-    # so appending block by block peaks at the output plus a block, where
-    # "".join(rows) would hold the output twice.  A trace function
-    # (sys.settrace) turns that off: every += then copies the text.
-    text = next(rows)
-    for _ in range(0, len(labels), step):
-        text += "".join(islice(rows, step))
-    return text
+    return list(labelled_csv(header, labels, _bodies(matrix, step)))

@@ -30,7 +30,6 @@ _UNITS = ("sentence", "paragraph")
 _CRITERIA = ("ward", "constrained")
 _PATH_KEYS = ("input_text", "abbreviations", "stopwords", "lexicon",
               "speakers", "segment_file")
-_WRITE_SLICE = 1 << 16  # characters of a whole-text artifact encoded at once
 
 # Result key -> artifact file name; every name a run can write.
 _ARTIFACTS = {
@@ -196,7 +195,8 @@ def parse_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    """Artifacts of one run: file paths, stage summary, and live objects."""
+    """Artifacts of one run: file paths, stage summary, and live objects;
+    ``tokens`` goes back to ``None`` once the build stage has counted them."""
 
     out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
@@ -212,17 +212,13 @@ class PipelineResult:
 
 
 def _write(result: PipelineResult, key: str, content: str | Iterable[str]) -> None:
-    """Write an artifact given whole or as chunks, which are written as they come.
+    """Write an artifact given whole or as chunks, such as a table's CSV lines.
 
-    Whole text goes out in slices of ``_WRITE_SLICE`` characters, so the
-    encoder never holds a bytes copy of all of it."""
+    Each chunk is encoded on its own, so a table given as its CSV lines is
+    never held as bytes all at once."""
     path = result.out_dir / _ARTIFACTS[key]
     with path.open("w", encoding="utf-8") as out:
-        if isinstance(content, str):
-            for start in range(0, len(content), _WRITE_SLICE):
-                out.write(content[start:start + _WRITE_SLICE])
-        else:
-            out.writelines(content)
+        out.writelines([content] if isinstance(content, str) else content)
     result.files[key] = path
 
 
@@ -318,6 +314,7 @@ def _build(config: PipelineConfig, result: PipelineResult) -> str:
     row_ids = ([r.paragraph_id for r in result.sentences]
                if config.unit == "paragraph" else None)  # None: one row per sentence
     cells = result.cells = corpus.count_cells(result.tokens, row_ids)
+    result.tokens = None  # no later stage reads them
     return f"build: {cells.shape[0]} {config.unit} rows x {cells.shape[1]} words"
 
 

@@ -536,19 +536,30 @@ def test_segment_range_far_past_the_text_costs_no_memory_per_paragraph(data_dir,
 def test_write_encodes_whole_text_in_slices(tmp_path):
     result = pipeline.PipelineResult(out_dir=tmp_path)
     text = "r1,0.123456789012,-4.5e-07\n" * 300_000  # 8.1 MB
+    lines = text.splitlines(keepends=True)  # as the CA writers give a table
     tracemalloc.start()
     try:
-        pipeline._write(result, "row_coords", text)
+        pipeline._write(result, "row_coords", lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.files["row_coords"].read_bytes() == text.encode()
-    # One slice and its bytes; encoding the whole text at once copies 8 MB.
+    # A line at a time and the file's buffer; encoding all the text at once copies 8 MB.
     assert peak < 3e6
-    # Characters of two and three UTF-8 bytes across the slice boundaries.
-    text = "caf\u00e9,\u2014,1\n" * (pipeline._WRITE_SLICE // 5)
+    # Characters of two and three UTF-8 bytes, in a text given whole.
+    text = "caf\u00e9,\u2014,1\n" * 13_107
     pipeline._write(result, "col_coords", text)
     assert result.files["col_coords"].read_bytes() == text.encode()
+
+
+def test_token_lists_are_released_once_counted(mini):
+    root, write_config = mini
+    config = pipeline.parse_config(write_config())
+    tokenized = pipeline.run_pipeline(config, out_dir=root / "out", upto="tokenize")
+    assert len(tokenized.tokens) == len(tokenized.sentences)
+    built = pipeline.run_pipeline(config, out_dir=root / "out", upto="build")
+    assert built.tokens is None
+    assert built.cells.total == sum(len(tl.tokens) for tl in tokenized.tokens)
 
 
 def test_paragraph_unit_runs_end_to_end(mini):
@@ -714,7 +725,7 @@ def test_ca_export_equals_the_ca_writers(mini):
                                    out_dir=root / "out", upto="fit_ca")
     assert list(result.files)[-5:] == ["inertia", *CA_FILES]
     for key, (writer, side) in CA_FILES.items():
-        expected = getattr(ca, writer)(result.model, side)
+        expected = "".join(getattr(ca, writer)(result.model, side))
         assert result.files[key].read_text(encoding="utf-8") == expected
 
 
