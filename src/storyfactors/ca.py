@@ -138,13 +138,12 @@ def fit_ca(table: CellCounts) -> CAModel:
     np.negative(F, out=F, where=flip)
     np.negative(G, out=G, where=flip)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_contrib = F**2
-        row_contrib *= r[:, None]
-        row_contrib /= sigma**2
-        col_contrib = G**2
-        col_contrib *= c[:, None]
-        col_contrib /= sigma**2
+    row_contrib = F**2
+    row_contrib *= r[:, None]
+    row_contrib /= sigma**2
+    col_contrib = G**2
+    col_contrib *= c[:, None]
+    col_contrib /= sigma**2
 
     if transposed:  # hand each (masses, coords, contrib) triple back to its side
         (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)

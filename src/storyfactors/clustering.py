@@ -6,8 +6,8 @@ chronology-constrained complete link, where only clusters adjacent in
 the sequence may merge and the height is the maximum pairwise Euclidean
 distance.  Both are monotone.  Ward updates a full n x n cost matrix by
 Lance-Williams and caches each row's nearest neighbour, so a merge is
-O(n); its memory is two n x n buffers while the costs are filled, one
-after.  Constrained complete link keeps only the chain of intervals and
+O(n); its memory is that one matrix, filled in place a row at a time.
+Constrained complete link keeps only the chain of intervals and
 the costs between neighbours, a band of the squared distances from each
 point to its next ``_BAND`` points, and one 1 MB buffer of pair
 differences for wider blocks: O(n) memory.  A merge of short intervals
@@ -124,24 +124,23 @@ class Partition:
 
 
 def _pair_costs_ward(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Ward costs m_i m_j / (m_i + m_j) * ||x_i - x_j||^2 in two n x n buffers.
+    """Ward costs m_i m_j / (m_i + m_j) * ||x_i - x_j||^2 in one n x n matrix.
 
     Element by element the arithmetic is that of the whole-matrix formula
     (sq_i + sq_j - 2 x_i.x_j, symmetrized, clipped at 0, times the mass
-    weight), written into place so that no third n x n array is live.
+    weight).  Row i's upper half reads the gemm's row i and column i, which
+    no earlier row has overwritten, and goes into both.
     """
     sq = np.sum(coords**2, axis=1)
-    gram = 2.0 * coords @ coords.T
-    d2 = np.add.outer(sq, sq)
-    d2 -= gram
-    np.add(d2, d2.T, out=gram)  # gemm output is not bitwise symmetric
-    gram *= 0.5
-    np.clip(gram, 0.0, None, out=gram)
-    for i, row in enumerate(d2):  # d2 now takes the weights, a row at a time
-        np.multiply(masses[i], masses, out=row)
-        row /= masses[i] + masses
-        row *= gram[i]
-    return d2
+    cost = 2.0 * coords @ coords.T
+    for i in range(len(sq)):
+        s = sq[i] + sq[i:]
+        d = (s - cost[i, i:]) + (s - cost[i:, i])  # gemm output is not bitwise symmetric
+        d *= 0.5
+        np.clip(d, 0.0, None, out=d)
+        d *= masses[i] * masses[i:] / (masses[i] + masses[i:])
+        cost[i, i:] = cost[i:, i] = d
+    return cost
 
 
 def ward_cluster(cloud: PointCloud) -> Dendrogram:

@@ -10,6 +10,7 @@ purpose — the plots are batch deliverables, not an interactive surface.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -25,6 +26,7 @@ _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _LABEL_STEP = 12.0  # vertical stacking offset for overlapping labels
 _PLANE_WIDTH, _PLANE_HEIGHT = 720.0, 540.0  # factor plane canvas (px)
 _TREE_WIDTH, _TREE_HEIGHT = 720.0, 480.0  # dendrogram canvas (px)
+_NON_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # outside XML 1.0's Char
 
 
 def _escape(content: str) -> str:
@@ -63,13 +65,13 @@ class _Canvas:
         )
 
     def text(self, x, y, content, size=10, fill="#000000", anchor="start", rotate=None):
+        content = _NON_XML.sub(lambda m: f"\\u{ord(m[0]):04x}", _escape(content))
         transform = ""
         if rotate is not None:
             transform = f" transform=\"rotate({rotate:g} {_fmt(x)} {_fmt(y)})\""
         self.parts.append(
             f"<text x=\"{_fmt(x)}\" y=\"{_fmt(y)}\" font-size=\"{size:g}\" "
-            f"fill=\"{fill}\" text-anchor=\"{anchor}\" {_FONT}{transform}>"
-            f"{_escape(content)}</text>\n"
+            f"fill=\"{fill}\" text-anchor=\"{anchor}\" {_FONT}{transform}>{content}</text>\n"
         )
 
     def raw(self, fragment: str) -> None:

@@ -471,9 +471,19 @@ def test_pair_costs_ward_match_whole_matrix_formula_bitwise():
         masses = np.ones(n) if trial % 2 else rng.uniform(0.2, 2.0, size=n)
         assert np.array_equal(clustering._pair_costs_ward(coords, masses),
                               _whole_matrix_pair_costs_ward(coords, masses))
+    # Fixed shapes: one point, one pair, and Ward on many axes (d = 40).
+    for n in (1, 2, 60):
+        for d in (0, 8, 40):
+            coords = rng.normal(size=(n, d))
+            for duplicated in (False, True):
+                if duplicated:
+                    coords[n // 2:] = coords[:n - n // 2]
+                masses = rng.uniform(0.2, 2.0, size=n)
+                assert np.array_equal(clustering._pair_costs_ward(coords, masses),
+                                      _whole_matrix_pair_costs_ward(coords, masses))
 
 
-def test_pair_costs_ward_memory_is_two_cost_matrices():
+def test_pair_costs_ward_memory_is_one_cost_matrix():
     n = 1000
     rng = np.random.default_rng(67)
     coords, masses = rng.normal(size=(n, 5)), rng.uniform(0.2, 2.0, size=n)
@@ -483,9 +493,9 @@ def test_pair_costs_ward_memory_is_two_cost_matrices():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The result plus one n x n work buffer (2.02 measured); the whole-matrix
-    # formula keeps three alive (3.02).
-    assert peak < 2.5 * n * n * 8
+    # The result alone, filled a row at a time (1.006 measured); one more
+    # n x n buffer would pass 1.25.
+    assert peak < 1.25 * n * n * 8
 
 
 def test_ward_memory_is_bounded_by_the_cost_matrix():
@@ -499,9 +509,9 @@ def test_ward_memory_is_bounded_by_the_cost_matrix():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # _pair_costs_ward's n x n temporaries set the peak at about 3.0 cost
-    # matrices (3.15 for the cubic loop); one more n x n copy would pass 3.5.
-    assert peak < 3.5 * n * n * 8
+    # The cost matrix sets the peak at about 1.05 cost matrices; one more
+    # n x n copy would pass 1.5.
+    assert peak < 1.5 * n * n * 8
 
 
 def test_ward_agrees_with_scipy_linkage():

@@ -533,7 +533,7 @@ def test_segment_range_far_past_the_text_costs_no_memory_per_paragraph(data_dir,
     assert traced_peak("118-200000") < 2 * traced_peak("118-123")
 
 
-def test_write_encodes_whole_text_in_slices(tmp_path):
+def test_write_encodes_a_table_a_line_at_a_time(tmp_path):
     result = pipeline.PipelineResult(out_dir=tmp_path)
     text = "r1,0.123456789012,-4.5e-07\n" * 300_000  # 8.1 MB
     lines = text.splitlines(keepends=True)  # as the CA writers give a table

@@ -186,6 +186,19 @@ def test_dendrogram_is_well_formed_xml():
     assert "href" not in svg
 
 
+def test_text_outside_xml_chars_is_well_formed():
+    # Every code point outside XML 1.0's Char production, in a label and a title.
+    codes = [c for c in [*range(0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF] if c not in (9, 10, 13)]
+    bad = "x" + "".join(map(chr, codes))
+    written = "x" + "".join(f"\\u{c:04x}" for c in codes)
+    table = CellCounts.of(("a", bad, "c"), ("u", "v", "w"), np.array([[5, 1, 2], [1, 4, 2], [2, 1, 6]]))
+    cloud = clustering.PointCloud(("a", bad, "d"), np.array([[0.0], [1.0], [3.0]]))
+    for svg in (plots.render_factor_plane(ca.fit_ca(table), side="row", labels=[bad], title=bad),
+                plots.render_dendrogram(clustering.ward_cluster(cloud), title=bad)):
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(written) == 2  # the label and the title
+
+
 def test_two_leaf_dendrogram_renders():
     cloud = clustering.PointCloud(("a", "b"), np.array([[0.0], [1.0]]))
     svg = plots.render_dendrogram(clustering.ward_cluster(cloud))
