@@ -35,7 +35,7 @@ class VTestEntry:
 
 @dataclass(frozen=True)
 class VTestReport:
-    entries: tuple[VTestEntry, ...]  # sorted by (cluster_id, p ascending)
+    entries: tuple[VTestEntry, ...]  # by (cluster_id, p, -|v| where p is 0, word)
     alpha: float
 
 
@@ -104,7 +104,8 @@ def characterize_clusters(
             if p_list[j] < alpha:
                 entries.append(VTestEntry(cid, word, v_list[j], p_list[j],
                                           float(cluster_means[j]), float(global_means[j])))
-    entries.sort(key=lambda e: (e.cluster_id, e.p, e.word))
+    # Past erfc's underflow (|v| above about 38.6) p reads 0: larger |v| first there.
+    entries.sort(key=lambda e: (e.cluster_id, e.p, -abs(e.v) if e.p == 0.0 else 0.0, e.word))
     return VTestReport(tuple(entries), alpha)
 
 

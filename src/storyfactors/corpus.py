@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -145,19 +145,26 @@ def count_cells(token_lists: Iterable[TokenList],
     if len(row_ids) != len(token_lists):
         raise ValueError(f"{len(row_ids)} row ids for {len(token_lists)} token lists")
 
-    col_index: dict[str, int] = {}
-    cols = [col_index.setdefault(token, len(col_index))
-            for tl in token_lists for token in tl.tokens]
+    col_index = {token: j for j, token in enumerate(
+        dict.fromkeys(chain.from_iterable(tl.tokens for tl in token_lists)))}
     if not col_index:
         raise ValueError("empty corpus: no tokens in any document")
     row_of: dict[int, int] = {}  # row id -> row, in first-appearance order
     doc_rows = [row_of.setdefault(row_id, len(row_of)) for row_id in row_ids]
 
-    V = len(col_index)
-    rows = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
-    cells, counts = np.unique(rows * V + np.array(cols, dtype=np.int64), return_counts=True)
+    # One int64 array per token at a time: flat = row * V + column, sorted
+    # in place; each run of equal values is one cell, its length the count.
+    flat = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
+    flat *= len(col_index)
+    flat += np.fromiter(map(col_index.__getitem__,
+                            chain.from_iterable(tl.tokens for tl in token_lists)),
+                        np.int64, count=len(flat))
+    flat.sort()
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    starts = np.flatnonzero(first)
     return CellCounts(tuple(str(row_id) for row_id in row_of), tuple(col_index),
-                      _frozen(cells), _frozen(counts.astype(np.int64, copy=False)))
+                      _frozen(flat[starts]), _frozen(np.diff(starts, append=len(flat))))
 
 
 def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:

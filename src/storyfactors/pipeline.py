@@ -196,7 +196,8 @@ def parse_config(path: str | Path) -> PipelineConfig:
 @dataclass
 class PipelineResult:
     """Artifacts of one run: file paths, stage summary, and live objects;
-    ``tokens`` goes back to ``None`` once the build stage has counted them."""
+    ``tokens`` share one string per distinct word, and go back to ``None``
+    once the build stage has counted them."""
 
     out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
@@ -304,10 +305,12 @@ def _segment(config: PipelineConfig, result: PipelineResult) -> str:
 
 
 def _tokenize(config: PipelineConfig, result: PipelineResult) -> str:
-    token_lists = result.tokens = [textprep.tokenize(r) for r in result.sentences]
+    words: dict[str, str] = {}  # one string per distinct word; each sentence's copies die with it
+    token_lists = result.tokens = [
+        textprep.TokenList(tl.sentence_id, tuple(map(words.setdefault, tl.tokens, tl.tokens)))
+        for tl in map(textprep.tokenize, result.sentences)]
     occurrences = sum(len(tl.tokens) for tl in token_lists)
-    distinct = len({tok for tl in token_lists for tok in tl.tokens})
-    return f"tokenize: {distinct} distinct words, {occurrences} occurrences"
+    return f"tokenize: {len(words)} distinct words, {occurrences} occurrences"
 
 
 def _build(config: PipelineConfig, result: PipelineResult) -> str:

@@ -122,6 +122,22 @@ def test_report_sorted_and_filtered_by_alpha():
     assert {(e.cluster_id, e.word) for e in report.entries} == significant
 
 
+def test_report_orders_by_v_where_p_underflows():
+    # 3,000 rows in two halves.  "zeta" fills the first half only
+    # (|v| ~ 54.8); "alpha" also has 200 rows of the second (|v| ~ 47.9).
+    # Both are past erfc's underflow, so p reads 0 for each, and the
+    # larger |v| must come first in each cluster, not the word first in
+    # the alphabet.
+    counts = np.zeros((3000, 2), dtype=int)
+    counts[:1500] = 1
+    counts[1500:1700, 0] = 1
+    table = CellCounts.of(tuple(str(i) for i in range(3000)), ("alpha", "zeta"), counts)
+    report = characterize.characterize_clusters(table, _split_partition(3000, 1500), 0.05)
+    assert all(e.p == 0.0 and abs(e.v) > 38.6 for e in report.entries)
+    assert [(e.cluster_id, e.word) for e in report.entries] == [
+        (1, "zeta"), (1, "alpha"), (2, "zeta"), (2, "alpha")]
+
+
 def test_characterize_validation():
     table = CellCounts.of(("0", "1"), ("w0", "w1"), np.ones((2, 2), dtype=int))
     partition = _split_partition(2, 1)

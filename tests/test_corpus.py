@@ -424,6 +424,30 @@ def _assert_same_table(got, want):
     assert np.array_equal(got.dense(), want.dense())
 
 
+def _unique_count_cells(token_lists, row_ids=None):
+    """``corpus.count_cells`` when it listed every token's column and called ``np.unique``."""
+    token_lists = list(token_lists)
+    if row_ids is None:
+        row_ids = [tl.sentence_id for tl in token_lists]
+    col_index = {}
+    cols = [col_index.setdefault(token, len(col_index))
+            for tl in token_lists for token in tl.tokens]
+    row_of = {}
+    doc_rows = [row_of.setdefault(row_id, len(row_of)) for row_id in row_ids]
+    rows = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
+    cells, counts = np.unique(rows * len(col_index) + np.array(cols, dtype=np.int64),
+                              return_counts=True)
+    return corpus.CellCounts(tuple(str(row_id) for row_id in row_of), tuple(col_index),
+                             cells, counts.astype(np.int64))
+
+
+def _assert_same_cells(got, want):
+    assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+    for name in ("cells", "counts"):
+        assert getattr(got, name).dtype == np.int64
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 _WORDS = ("a", "b", "ab", "ba", "abc", "cab", "abcd", "dd", "d", "cc")
 
 
@@ -452,8 +476,30 @@ def test_build_table_matches_per_token_loop(corpus_and_ids, unit):
         with pytest.raises(ValueError, match="empty corpus"):
             corpus.count_cells(token_lists, row_ids)
         return
-    _assert_same_table(corpus.count_cells(token_lists, row_ids),
-                       _reference_build_table(token_lists, unit, paragraphs))
+    got = corpus.count_cells(token_lists, row_ids)
+    _assert_same_table(got, _reference_build_table(token_lists, unit, paragraphs))
+    _assert_same_cells(got, _unique_count_cells(token_lists, row_ids))
+
+
+def test_count_cells_matches_its_unique_form_on_the_bundled_story(poe):
+    paragraph_ids = [r.paragraph_id for r in poe["records"]]
+    for row_ids in (None, paragraph_ids):
+        _assert_same_cells(corpus.count_cells(poe["tokens"], row_ids),
+                           _unique_count_cells(poe["tokens"], row_ids))
+
+
+def test_count_cells_matches_its_unique_form_on_large_counts():
+    # Word w{j} occurs (j + 1) ** 2 times in each of six token lists, so a
+    # sentence row counts 1 to 400 and a row of two lists 2 to 800.
+    rng = np.random.default_rng(5)
+    token_lists = []
+    for i in range(6):
+        words = [f"w{j}" for j in range(20) for _ in range((j + 1) ** 2)]
+        token_lists.append(TokenList(i, tuple(rng.permutation(words).tolist())))
+    for row_ids in (None, [1, 2, 3, 1, 2, 3]):
+        got = corpus.count_cells(token_lists, row_ids)
+        assert {len(str(count)) for count in got.counts.tolist()} >= {2, 3}
+        _assert_same_cells(got, _unique_count_cells(token_lists, row_ids))
 
 
 @st.composite
@@ -567,6 +613,33 @@ def test_paragraph_rows_count_in_less_memory_than_sentence_rows(poe):
     paragraph_rows, paragraph_peak = traced_peak(paragraph_ids)
     assert (sentence_rows, paragraph_rows) == (4 * n, 4 * paragraphs)
     assert paragraph_peak < sentence_peak
+
+
+def test_count_cells_holds_about_one_int64_array_per_token(poe):
+    # The bundled text 15 times over, 106,470 tokens in 1,845 paragraph rows,
+    # as the sections_long workload counts them.  Measured: about 35 bytes
+    # per token for count_cells, 53 for its np.unique form, which lists
+    # every token's column and sorts a flattened copy.
+    records, tokens = poe["records"], poe["tokens"]
+    n, paragraphs = len(records), records[-1].paragraph_id
+    token_lists = [TokenList(tl.sentence_id + copy * n, tl.tokens)
+                   for copy in range(15) for tl in tokens]
+    paragraph_ids = [r.paragraph_id + copy * paragraphs for copy in range(15) for r in records]
+    total = sum(len(tl.tokens) for tl in token_lists)
+    assert total >= 100_000
+
+    def bytes_per_token(count):
+        tracemalloc.start()
+        try:
+            count(token_lists, paragraph_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / total
+
+    assert bytes_per_token(corpus.count_cells) < 44
+    # The np.unique form exceeds the bound, so the bound can tell them apart.
+    assert bytes_per_token(_unique_count_cells) > 44
 
 
 def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path):

@@ -252,6 +252,48 @@ def test_bundled_configs_reproduce_golden_tables(name, data_dir, tmp_path):
     assert {file: digests.get(file) for file in GOLDEN[name]} == GOLDEN[name]
 
 
+# The run summary of each bundled config, as the CLI prints it.
+SUMMARIES = {
+    "sections.cfg": [
+        "segment: 321 sentences, 123 paragraphs",
+        "tokenize: 1738 distinct words, 7098 occurrences",
+        "build: 321 sentence rows x 1738 words",
+        "filter: 275 words, 1541 occurrences, 308 non-empty rows, 13 emptied",
+        "aggregate: 8 segments",
+        "fit_ca: 7 axes, total inertia 1.90805",
+        "cluster: constrained tree over 8 rows (7 axes)",
+        "cut: 6 clusters (sizes 1/2/1/1/2/1)",
+        "vtest: 76 significant word/cluster pairs at alpha 0.05",
+        "plot: 3 SVG files",
+    ],
+    "nouns.cfg": [
+        "segment: 321 sentences, 123 paragraphs",
+        "tokenize: 1738 distinct words, 7098 occurrences",
+        "build: 321 sentence rows x 1738 words",
+        "filter: 48 words, 423 occurrences, 211 non-empty rows, 110 emptied",
+        "fit_ca: 47 axes, total inertia 22.6433",
+        "cluster: constrained tree over 211 rows (5 axes)",
+        "cut: 3 clusters (sizes 53/97/61)",
+        "vtest: 12 significant word/cluster pairs at alpha 0.05",
+        "plot: 2 SVG files",
+    ],
+}
+
+
+def test_bundled_config_summaries(data_dir, tmp_path):
+    for name, summary in SUMMARIES.items():
+        config = pipeline.parse_config(data_dir / "configs" / name)
+        assert pipeline.run_pipeline(config, out_dir=tmp_path / name).summary == summary
+
+
+def test_tokens_share_one_string_per_distinct_word(data_dir, tmp_path):
+    config = pipeline.parse_config(data_dir / "configs" / "sections.cfg")
+    tokens = pipeline.run_pipeline(config, out_dir=tmp_path, upto="tokenize").tokens
+    distinct = {t for tl in tokens for t in tl.tokens}
+    assert len(distinct) < sum(len(tl.tokens) for tl in tokens)
+    assert len({id(t) for tl in tokens for t in tl.tokens}) == len(distinct)
+
+
 def test_rerun_is_byte_identical(mini):
     root, write_config = mini
     config = pipeline.parse_config(write_config())
