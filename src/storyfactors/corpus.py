@@ -154,17 +154,26 @@ def count_cells(token_lists: Iterable[TokenList],
 
     # One int64 array per token at a time: flat = row * V + column, sorted
     # in place; each run of equal values is one cell, its length the count.
+    # `flat`, the run-start mask and the starts are each dropped once read.
     flat = np.repeat(np.array(doc_rows, dtype=np.int64), [len(tl.tokens) for tl in token_lists])
     flat *= len(col_index)
     flat += np.fromiter(map(col_index.__getitem__,
                             chain.from_iterable(tl.tokens for tl in token_lists)),
                         np.int64, count=len(flat))
     flat.sort()
-    first = np.ones(len(flat), dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
+    total = len(flat)
+    first = np.ones(total, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    cells = flat[first]
+    del flat
     starts = np.flatnonzero(first)
+    del first
+    counts = np.empty(len(starts), dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = total - starts[-1]
+    del starts
     return CellCounts(tuple(str(row_id) for row_id in row_of), tuple(col_index),
-                      _frozen(flat[starts]), _frozen(np.diff(starts, append=len(flat))))
+                      _frozen(cells), _frozen(counts))
 
 
 def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:
@@ -177,7 +186,7 @@ def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:
     renumbered to the kept rows and columns.
     """
     n, V = table.shape
-    rows, cols = np.divmod(table.cells, V)
+    cols = table.cells % V
     totals = table.column_totals()
     # Totals and document frequencies (a column's non-zero cells) are per
     # column, so evaluating the thresholds on the whole table and ANDing
@@ -194,7 +203,8 @@ def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:
         raise ValueError("empty vocabulary: filter removed every column")
 
     kept = keep[cols]
-    rows, cols = rows[kept], cols[kept]
+    cols = cols[kept]
+    rows = table.cells[kept] // V  # only the kept cells' rows are ever made
     row_ok = np.zeros(n, dtype=bool)
     row_ok[rows] = True
     dropped = list(compress(table.row_labels, ~row_ok))
@@ -227,9 +237,12 @@ def aggregate(table: CellCounts, segment_ids: Sequence[int] | np.ndarray) -> Cel
         raise ValueError("segment ids must be 1..k")
     k = int(ids[-1]) if ids.size else 0
     m = len(table.col_labels)
-    rows, cols = np.divmod(table.cells, m)
+    flat = ids[table.cells // m] - 1  # each cell's segment, then its flat index in place
+    flat *= m
+    flat += table.cells % m
     counts = np.zeros(k * m, dtype=np.int64)
-    np.add.at(counts, (ids[rows] - 1) * m + cols, table.counts)
+    np.add.at(counts, flat, table.counts)
+    del flat
     cells = np.flatnonzero(counts)
     return CellCounts(tuple(str(sid) for sid in range(1, k + 1)), table.col_labels,
                       _frozen(cells), _frozen(counts[cells]))

@@ -24,7 +24,7 @@ _BOUNDARY = re.compile(r"""([.!?]+)(?:['"’”)\]]+(?=[ \t]|\Z))?""")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceRecord:
     """One segmented sentence with its position in the document."""
 
@@ -34,7 +34,7 @@ class SentenceRecord:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenList:
     """Tokens of one sentence, in text order."""
 

@@ -617,7 +617,7 @@ def test_paragraph_rows_count_in_less_memory_than_sentence_rows(poe):
 
 def test_count_cells_holds_about_one_int64_array_per_token(poe):
     # The bundled text 15 times over, 106,470 tokens in 1,845 paragraph rows,
-    # as the sections_long workload counts them.  Measured: about 35 bytes
+    # as the sections_long workload counts them.  Measured: about 19 bytes
     # per token for count_cells, 53 for its np.unique form, which lists
     # every token's column and sorts a flattened copy.
     records, tokens = poe["records"], poe["tokens"]
@@ -637,9 +637,55 @@ def test_count_cells_holds_about_one_int64_array_per_token(poe):
             tracemalloc.stop()
         return peak / total
 
-    assert bytes_per_token(corpus.count_cells) < 44
+    assert bytes_per_token(corpus.count_cells) < 27
     # The np.unique form exceeds the bound, so the bound can tell them apart.
-    assert bytes_per_token(_unique_count_cells) > 44
+    assert bytes_per_token(_unique_count_cells) > 27
+
+
+def _divmod_aggregate(table, segment_ids):
+    """``corpus.aggregate`` when it split every cell into a row and a column array."""
+    ids, m = np.asarray(segment_ids, dtype=np.int64), len(table.col_labels)
+    k = int(ids[-1])
+    rows, cols = np.divmod(table.cells, m)
+    counts = np.zeros(k * m, dtype=np.int64)
+    np.add.at(counts, (ids[rows] - 1) * m + cols, table.counts)
+    cells = np.flatnonzero(counts)
+    return corpus.CellCounts(tuple(str(sid) for sid in range(1, k + 1)), table.col_labels,
+                             corpus._frozen(cells), corpus._frozen(counts[cells]))
+
+
+def test_aggregate_holds_about_one_int64_array_per_kept_cell(poe):
+    # The bundled text 15 times over in sentence rows, filtered at 3/3/2
+    # (85,785 kept cells in 4,815 rows) and cut into 16 segments.  Measured:
+    # about 16.5 bytes per kept cell for aggregate, which builds one flat
+    # index in place, and 27 for its divmod form.
+    records, tokens = poe["records"], poe["tokens"]
+    n = len(records)
+    token_lists = [TokenList(tl.sentence_id + copy * n, tl.tokens)
+                   for copy in range(15) for tl in tokens]
+    kept = corpus.apply_filter(corpus.count_cells(token_lists), corpus.CorpusFilter(
+        min_total_count=3, min_doc_count=3, min_word_length=2))
+    rows = kept.shape[0]
+    segment_ids = np.repeat(np.arange(1, 17), [rows // 16 + (i < rows % 16) for i in range(16)])
+    assert kept.cells.size >= 80_000
+
+    def bytes_per_cell(aggregate):
+        tracemalloc.start()
+        try:
+            segments = aggregate(kept, segment_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert segments.shape == (16, kept.shape[1])
+        return segments, peak / kept.cells.size
+
+    segments, per_cell = bytes_per_cell(corpus.aggregate)
+    assert per_cell < 22
+    # The divmod form sums to the same cells and exceeds the bound, so the
+    # bound can tell them apart.
+    divmod_segments, divmod_per_cell = bytes_per_cell(_divmod_aggregate)
+    _assert_same_cells(segments, divmod_segments)
+    assert divmod_per_cell > 22
 
 
 def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path):

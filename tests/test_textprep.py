@@ -1,5 +1,8 @@
 """Segmentation and tokenization behavior on small synthetic texts."""
 
+import copy
+import dataclasses
+import pickle
 import re
 import unicodedata
 
@@ -96,6 +99,20 @@ def test_tokenize_text_splits_on_apostrophes_and_dashes():
 def test_tokenize_record_keeps_sentence_id():
     record = textprep.SentenceRecord(7, 2, None, "A b c.")
     assert textprep.tokenize(record) == textprep.TokenList(7, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("record", [textprep.SentenceRecord(7, 2, "Dupin", "A b c."),
+                                    textprep.TokenList(7, ("a", "b", "c"))])
+def test_records_are_slotted(record):
+    # Thousands of each are alive at once: no per-record attribute dict.
+    assert not hasattr(record, "__dict__")
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, 8)
+    assert dataclasses.replace(record) == record
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 @given(st.text(max_size=200))
