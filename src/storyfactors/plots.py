@@ -59,6 +59,11 @@ class _Canvas:
             f"{dash_attr}{extra}/>\n"
         )
 
+    def path(self, data, stroke="#333333", width=1.0):
+        self.parts.append(
+            f"<path d=\"{data}\" fill=\"none\" stroke=\"{stroke}\" stroke-width=\"{width:g}\"/>\n"
+        )
+
     def circle(self, x, y, r, fill):
         self.parts.append(
             f"<circle cx=\"{_fmt(x)}\" cy=\"{_fmt(y)}\" r=\"{r:g}\" fill=\"{fill}\"/>\n"
@@ -198,10 +203,12 @@ def render_dendrogram(
 ) -> str:
     """Draw a merge tree as an SVG document string.
 
-    Leaves sit on the baseline in :func:`clustering.leaf_order`; each
-    merge is an inverted U at its height.  With ``cut`` a dashed line is
-    drawn at the level separating ``cut`` clusters, i.e. between the last
-    two merge heights it straddles.
+    Leaves sit on the baseline in :func:`clustering.leaf_order`.  The
+    merges are drawn as one path of vertical and horizontal subpaths (per
+    merge, one up from each child and one across at its height), and the
+    leaf ticks as a second path.  With ``cut`` a dashed line is drawn at
+    the level separating ``cut`` clusters, i.e. between the last two merge
+    heights it straddles.
     """
     n = dendrogram.n_leaves
     merges = dendrogram.merges
@@ -231,14 +238,16 @@ def render_dendrogram(
         svg.line(margin_l - 14, y_of(h), margin_l - 10, y_of(h), stroke="#333333")
         svg.text(margin_l - 18, y_of(h) + 3, f"{h:.3g}", size=9, anchor="end")
 
+    subpaths = []
     for index, (left, right, h, _) in enumerate(merges):
         node = n + index
         xa, xb = pos_x[left], pos_x[right]
-        svg.line(xa, y_of(pos_h[left]), xa, y_of(h))
-        svg.line(xb, y_of(pos_h[right]), xb, y_of(h))
-        svg.line(xa, y_of(h), xb, y_of(h))
+        fa, fb, fh = _fmt(xa), _fmt(xb), _fmt(y_of(h))
+        subpaths.append(f"M{fa} {_fmt(y_of(pos_h[left]))}V{fh}"
+                        f"M{fb} {_fmt(y_of(pos_h[right]))}V{fh}M{fa} {fh}H{fb}")
         pos_x[node] = (xa + xb) / 2.0
         pos_h[node] = h
+    svg.path("".join(subpaths))
 
     if cut is not None:
         if not 1 <= cut <= n:
@@ -254,14 +263,13 @@ def render_dendrogram(
         svg.text(width - margin_r, y_of(level) - 4, f"k = {cut}", size=10,
                  fill="#d62728", anchor="end")
 
-    show_labels = n <= 40
-    for leaf in range(n):
-        x = pos_x[leaf]
-        svg.line(x, baseline, x, baseline + 4)
-        if show_labels:
-            svg.text(x + 3, baseline + 8, dendrogram.labels[leaf], size=8,
+    tick = f" {_fmt(baseline)}v4"
+    svg.path("".join(f"M{_fmt(pos_x[leaf])}{tick}" for leaf in range(n)))
+    if n <= 40:
+        for leaf in range(n):
+            svg.text(pos_x[leaf] + 3, baseline + 8, dendrogram.labels[leaf], size=8,
                      anchor="end", rotate=-90.0)
-    if not show_labels:
+    else:
         svg.text(margin_l, baseline + 16,
                  f"{n} leaves, left to right: {dendrogram.labels[order[0]]} "
                  f"... {dendrogram.labels[order[-1]]}", size=9, fill="#333333")

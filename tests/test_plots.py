@@ -1,6 +1,9 @@
 """SVG renderers: well-formedness, the labels drawn, layout invariants."""
 
+import re
+import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from storyfactors import ca, clustering, plots
+from storyfactors import ca, clustering, pipeline, plots
 from storyfactors.corpus import CellCounts
 
 from conftest import random_table
@@ -244,6 +247,162 @@ def test_many_leaves_drop_individual_labels():
     svg = plots.render_dendrogram(clustering.constrained_complete_link(cloud))
     assert "45 leaves" in svg
     assert "rotate(-90" not in svg
+
+
+def _line_dendrogram(dendrogram, cut=None, title=None):
+    """The renderer as it was before the two paths: one ``<line>`` per segment and tick."""
+    fmt = plots._fmt
+    n = dendrogram.n_leaves
+    merges = dendrogram.merges
+    order = clustering.leaf_order(dendrogram)
+    width, height = plots._TREE_WIDTH, plots._TREE_HEIGHT
+    margin_l, margin_r, margin_t, margin_b = 64.0, 24.0, 30.0, 60.0
+    span = width - margin_l - margin_r
+    step = span / n
+    baseline = height - margin_b
+    h_max = max(m[2] for m in merges) if merges else 1.0
+    h_scale = (baseline - margin_t) / max(h_max, 1e-300)
+
+    def y_of(h):
+        return baseline - h * h_scale
+
+    pos_x = [0.0] * (2 * n - 1)
+    pos_h = [0.0] * (2 * n - 1)
+    rank = {leaf: i for i, leaf in enumerate(order)}
+    for leaf in range(n):
+        pos_x[leaf] = margin_l + (rank[leaf] + 0.5) * step
+
+    svg = plots._Canvas(width, height)
+    svg.line(margin_l - 10, baseline, margin_l - 10, margin_t, stroke="#333333")
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        h = h_max * frac
+        svg.line(margin_l - 14, y_of(h), margin_l - 10, y_of(h), stroke="#333333")
+        svg.text(margin_l - 18, y_of(h) + 3, f"{h:.3g}", size=9, anchor="end")
+
+    for index, (left, right, h, _) in enumerate(merges):
+        node = n + index
+        xa, xb = pos_x[left], pos_x[right]
+        svg.line(xa, y_of(pos_h[left]), xa, y_of(h))
+        svg.line(xb, y_of(pos_h[right]), xb, y_of(h))
+        svg.line(xa, y_of(h), xb, y_of(h))
+        pos_x[node] = (xa + xb) / 2.0
+        pos_h[node] = h
+
+    if cut is not None:
+        if cut == 1:
+            level = h_max * 1.02
+        else:
+            upper = merges[n - cut][2]
+            lower = merges[n - cut - 1][2] if cut < n else 0.0
+            level = (upper + lower) / 2.0
+        svg.line(margin_l - 10, y_of(level), width - margin_r, y_of(level),
+                 stroke="#d62728", width=1.2, dash="6,4")
+        svg.text(width - margin_r, y_of(level) - 4, f"k = {cut}", size=10,
+                 fill="#d62728", anchor="end")
+
+    show_labels = n <= 40
+    for leaf in range(n):
+        x = pos_x[leaf]
+        svg.line(x, baseline, x, baseline + 4)
+        if show_labels:
+            svg.text(x + 3, baseline + 8, dendrogram.labels[leaf], size=8,
+                     anchor="end", rotate=-90.0)
+    if not show_labels:
+        svg.text(margin_l, baseline + 16,
+                 f"{n} leaves, left to right: {dendrogram.labels[order[0]]} "
+                 f"... {dendrogram.labels[order[-1]]}", size=9, fill="#333333")
+    if title:
+        svg.text(width / 2.0, 18.0, title, size=13, anchor="middle")
+    return svg.document()
+
+
+# A merge segment or leaf tick of the line renderer; the height axis and its
+# ticks, drawn the same way, sit left of the leaves (x <= 54 < 64).
+_SEGMENT_LINE = re.compile(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" '
+                           r'stroke="#333333" stroke-width="1"/>\n')
+_PATH = re.compile(r'<path d="([^"]*)" fill="none" stroke="#333333" stroke-width="1"/>\n')
+_SUBPATH = re.compile(r"M([^ ]+) ([^MVHv]+)([VHv])([^MVHv]+)")
+
+
+def _is_segment(line):
+    return float(line[1]) >= 64.0
+
+
+def _subpaths(svg):
+    """Each subpath of the document's paths as ``(x1, y1, x2, y2)`` text."""
+    segments = []
+    for data in _PATH.findall(svg):
+        found = list(_SUBPATH.finditer(data))
+        assert "".join(m[0] for m in found) == data
+        for x, y, command, to in (m.groups() for m in found):
+            segments.append({"V": (x, y, x, to), "H": (x, y, to, y),
+                             "v": (x, y, x, plots._fmt(float(y) + float(to)))}[command])
+    return segments
+
+
+def _long_constrained_tree(n=1267, seed=11):
+    """As many leaves as nouns_long, about a fifth of its merges at height 0."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.5, 2.0, size=(n, 2))
+    steps[rng.random(n) < 0.2] = 0.0
+    cloud = clustering.PointCloud(tuple(f"s{i}" for i in range(n)), np.cumsum(steps, axis=0))
+    return clustering.constrained_complete_link(cloud)
+
+
+def _duplicate_ward_tree(seed=12):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(40, 3))
+    coords = np.vstack([points, points[rng.permutation(40)[:20]]])[rng.permutation(60)]
+    return clustering.ward_cluster(clustering.PointCloud(tuple(f"w{i}" for i in range(60)), coords))
+
+
+@pytest.fixture(scope="module")
+def trees(data_dir, tmp_path_factory):
+    """(dendrogram, cut, title) per tree the line oracle is checked on."""
+    config = pipeline.parse_config(data_dir / "configs" / "nouns.cfg")
+    nouns = pipeline.run_pipeline(config, out_dir=tmp_path_factory.mktemp("nouns"), upto="cut")
+    return {
+        "nouns.cfg": (nouns.dendrogram, nouns.partition.k, "constrained dendrogram"),
+        "constrained_1267": (_long_constrained_tree(), 5, None),
+        "ward_duplicates": (_duplicate_ward_tree(), 4, "ward & <duplicates>"),
+    }
+
+
+@pytest.mark.parametrize("name", ["nouns.cfg", "constrained_1267", "ward_duplicates"])
+def test_dendrogram_paths_match_line_oracle(trees, name):
+    dendrogram, cut, title = trees[name]
+    old = _line_dendrogram(dendrogram, cut=cut, title=title)
+    new = plots.render_dendrogram(dendrogram, cut=cut, title=title)
+    lines = [line for line in _SEGMENT_LINE.finditer(old) if _is_segment(line)]
+    assert len(lines) == 3 * len(dendrogram.merges) + dendrogram.n_leaves
+    # (a) The same segments, as coordinate text.
+    segments = _subpaths(new)
+    assert Counter(segments) == Counter(m.groups() for m in lines)
+    # (b) Everything else, paint order included, is byte for byte the old document.
+    rest = _SEGMENT_LINE.sub(lambda line: "" if _is_segment(line) else line[0], old)
+    assert _PATH.sub("", new) == rest
+    # (c) Well formed, with exactly the two unfilled paths.
+    paths = list(ET.fromstring(new).iter("{http://www.w3.org/2000/svg}path"))
+    assert [path.get("fill") for path in paths] == ["none", "none"]
+    if name == "ward_duplicates":
+        # Zero-height merges, and right children drawn left of their siblings.
+        assert any(h == 0.0 for _, _, h, _ in dendrogram.merges)
+        assert any(x1 == x2 and y1 == y2 for x1, y1, x2, y2 in segments)
+        assert any(float(x2) < float(x1) for x1, y1, x2, y2 in segments if y1 == y2)
+
+
+def test_dendrogram_document_and_render_peak_stay_small():
+    # The line renderer reads about 361 bytes per leaf and a 1.75 MiB peak on
+    # this tree, the paths about 80 and 0.61 MiB.
+    dendrogram = _long_constrained_tree()
+    tracemalloc.start()
+    try:
+        svg = plots.render_dendrogram(dendrogram, cut=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(svg.encode()) <= 160 * dendrogram.n_leaves
+    assert peak <= 2**20
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;amplgt#\"' x\u00e9\n") | st.characters()))
