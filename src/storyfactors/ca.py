@@ -234,22 +234,22 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def inertia_table_csv(model: CAModel) -> list[str]:
-    """One line per axis: axis, sigma, sigma^2, percent, cumulative percent."""
+def inertia_table_csv(model: CAModel) -> Iterator[str]:
+    """An iterator over CSV lines, one per axis: axis, sigma, sigma^2, percent, cumulative."""
     sigma, sq = model.singular_values, model.singular_values**2
     table = np.column_stack([sigma, sq, 100 * sq / model.total_inertia, cumulative_inertia(model)])
     return _matrix_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"],
                        [str(k) for k in range(1, model.n_axes + 1)], table)
 
 
-def coordinates_csv(model: CAModel, side: str = "row") -> list[str]:
-    """Principal coordinates as CSV: label, then one column per axis."""
+def coordinates_csv(model: CAModel, side: str = "row") -> Iterator[str]:
+    """Principal coordinates as an iterator over CSV lines: label, then one column per axis."""
     labels, coords, _ = model.side(side)
     return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, coords)
 
 
-def contributions_csv(model: CAModel, side: str = "row") -> list[str]:
-    """Contribution shares as CSV: label, then one column per axis."""
+def contributions_csv(model: CAModel, side: str = "row") -> Iterator[str]:
+    """Contribution shares as an iterator over CSV lines: label, then one column per axis."""
     labels, _, contrib = model.side(side)
     return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, contrib)
 
@@ -391,7 +391,8 @@ def _bodies(matrix: np.ndarray, step: int) -> Iterator[str]:
             yield buf[i:i + width].translate(None, b"\0").decode("ascii")
 
 
-def _matrix_csv(header: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> list[str]:
-    """The CSV lines, header first: labels quoted by csv, numbers formatted in blocks of rows."""
+def _matrix_csv(header: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> Iterator[str]:
+    """An iterator over the CSV lines, header first: labels quoted by csv, numbers
+    formatted a block of rows at a time as the lines are read."""
     step = max(1, _BLOCK_CELLS // max(matrix.shape[1], 1))
-    return list(labelled_csv(header, labels, _bodies(matrix, step)))
+    return labelled_csv(header, labels, _bodies(matrix, step))

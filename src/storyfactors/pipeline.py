@@ -8,11 +8,13 @@ when the config defines a segmentation.  Each stage reads and fills the
 summary; any failure is re-raised as a :class:`StageError` naming the
 stage.  The table passes between stages as its non-zero cells
 (:class:`corpus.CellCounts`); ``fit_ca`` and the v-test build the dense
-array they need themselves.  A run first removes every artifact a
-previous run may have left in the output directory, and a failed run
-removes what it wrote, so the directory holds exactly one run's
-artifacts or none.  All outputs are pure functions of the config and
-input files, so two runs over the same inputs are byte-identical.
+array they need themselves.  What no later stage reads is dropped: the
+token lists once built, the built table once ``fit_ca`` starts.  A run
+first removes every artifact a previous run may have left in the output
+directory, and a failed run removes what it wrote, so the directory
+holds exactly one run's artifacts or none.  All outputs are pure
+functions of the config and input files, so two runs over the same
+inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ def parse_config(path: str | Path) -> PipelineConfig:
 class PipelineResult:
     """Artifacts of one run: file paths, stage summary, and live objects;
     ``tokens`` share one string per distinct word, and go back to ``None``
-    once the build stage has counted them."""
+    once the build stage has counted them, as ``cells`` does when ``fit_ca``
+    starts."""
 
     out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
@@ -215,8 +218,8 @@ class PipelineResult:
 def _write(result: PipelineResult, key: str, content: str | Iterable[str]) -> None:
     """Write an artifact given whole or as chunks, such as a table's CSV lines.
 
-    Each chunk is encoded on its own, so a table given as its CSV lines is
-    never held as bytes all at once."""
+    Each chunk is written as it comes, so a table given as an iterator
+    over its CSV lines is never held as text or bytes all at once."""
     path = result.out_dir / _ARTIFACTS[key]
     with path.open("w", encoding="utf-8") as out:
         out.writelines([content] if isinstance(content, str) else content)
@@ -352,8 +355,9 @@ def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
 
 
 def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
+    result.cells = None  # the aggregate stage was its last reader
     model = result.model = ca.fit_ca(result.table)
-    # One matrix at a time, so only one matrix's text is alive at once.
+    # One matrix, and of it one block of rows, at a time: only that block's text is alive.
     _write(result, "inertia", ca.inertia_table_csv(model))
     _write(result, "row_coords", ca.coordinates_csv(model, "row"))
     _write(result, "col_coords", ca.coordinates_csv(model, "col"))

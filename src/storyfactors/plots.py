@@ -40,7 +40,7 @@ def _fmt(value: float) -> str:
 
 
 class _Canvas:
-    """Append-only SVG document builder."""
+    """Append-only SVG document builder, closed once by :meth:`document`."""
 
     def __init__(self, width: float, height: float) -> None:
         self.parts: list[str] = [
@@ -83,7 +83,8 @@ class _Canvas:
         self.parts.append(fragment)
 
     def document(self) -> str:
-        return "".join(self.parts) + "</svg>\n"
+        self.parts.append("</svg>\n")  # one join: no second copy of the whole text
+        return "".join(self.parts)
 
 
 def _axis_percent(model: CAModel, axis: int) -> float:

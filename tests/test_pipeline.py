@@ -5,6 +5,7 @@ import hashlib
 import re
 import tracemalloc
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -604,6 +605,32 @@ def test_token_lists_are_released_once_counted(mini):
     assert built.cells.total == sum(len(tl.tokens) for tl in tokenized.tokens)
 
 
+@pytest.mark.parametrize("overrides", [{}, {"segment_sizes": "1,1,1"}],
+                         ids=["no_aggregate", "aggregate"])
+def test_built_table_is_released_before_fit_ca(mini, monkeypatch, overrides):
+    # The built table is read up to the aggregate stage; fit_ca and every
+    # later stage read only the analysed table.
+    root, write_config = mini
+    count_cells, fit_ca = corpus.count_cells, ca.fit_ca
+    built, alive_at_fit = [], []
+
+    def counting(*args):
+        cells = count_cells(*args)
+        built.append(weakref.ref(cells))
+        return cells
+
+    def fitting(table):
+        alive_at_fit.append(built[0]() is not None)
+        return fit_ca(table)
+
+    monkeypatch.setattr(corpus, "count_cells", counting)
+    monkeypatch.setattr(ca, "fit_ca", fitting)
+    result = pipeline.run_pipeline(pipeline.parse_config(write_config(**overrides)),
+                                   out_dir=root / "out")
+    assert alive_at_fit == [False]
+    assert result.cells is None and result.model is not None
+
+
 def test_paragraph_unit_runs_end_to_end(mini):
     root, write_config = mini
     config = pipeline.parse_config(write_config(unit="paragraph", cut=2))
@@ -780,6 +807,25 @@ def test_failing_ca_writer_is_a_fit_ca_stage_error(mini, monkeypatch, writer):
         raise error
 
     monkeypatch.setattr(ca, writer, broken)
+    out = root / "out"
+    with pytest.raises(pipeline.StageError) as excinfo:
+        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
+    assert str(excinfo.value) == f"[fit_ca] {error}"
+    assert excinfo.value.cause is error
+    assert list(out.iterdir()) == []
+
+
+def test_ca_writer_failing_after_its_header_leaves_no_file(mini, monkeypatch):
+    # The writers' lines are formatted while the stage writes them, so a
+    # writer can fail with its file half written; the run removes it.
+    root, write_config = mini
+    error = ValueError("no row block")
+
+    def failing(model, side="row"):
+        yield "label,axis_1\n"
+        raise error
+
+    monkeypatch.setattr(ca, "coordinates_csv", failing)
     out = root / "out"
     with pytest.raises(pipeline.StageError) as excinfo:
         pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)

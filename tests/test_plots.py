@@ -393,7 +393,7 @@ def test_dendrogram_paths_match_line_oracle(trees, name):
 
 def test_dendrogram_document_and_render_peak_stay_small():
     # The line renderer reads about 361 bytes per leaf and a 1.75 MiB peak on
-    # this tree, the paths about 80 and 0.61 MiB.
+    # this tree, the paths about 80 and 0.55 MiB.
     dendrogram = _long_constrained_tree()
     tracemalloc.start()
     try:
