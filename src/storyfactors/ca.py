@@ -167,10 +167,12 @@ def chi2_row_distance(table: CellCounts, i: int, i2: int) -> float:
     d^2(i,i') = sum_j (1/c_j) (p_ij/r_i - p_i'j/r_i')^2; equals the
     Euclidean distance between full-dimensional principal coordinates.
     A zero column makes the distance undefined and is rejected, as in
-    :func:`fit_ca`.
+    :func:`fit_ca`; so is a row index outside ``0..n-1``.
     """
     counts = table.dense()
     for idx in (i, i2):
+        if not 0 <= idx < len(counts):
+            raise ValueError(f"row index {idx} outside 0..{len(counts) - 1}")
         if counts[idx].sum() == 0:
             raise ValueError(f"zero-sum row: {table.row_labels[idx]!r}")
     c = _nonzero_margin(counts.sum(axis=0), table.col_labels, "zero column") / table.total
@@ -216,7 +218,8 @@ def project_supplementary(
     its coordinates follow the transition formula
     f_k = (1/sigma_k) sum_j (profile_j / sum(profile)) G[j,k], so a
     duplicate of an active row lands exactly on that row's coordinates
-    and a profile proportional to the margin lands at the origin.
+    and a profile proportional to the margin lands at the origin.  Its
+    entries are counts or weights: finite and non-negative.
     """
     profile = np.asarray(profile, dtype=float)
     other = {"row": "col", "col": "row"}.get(side, side)
@@ -224,6 +227,8 @@ def project_supplementary(
     if profile.shape != (opposite.shape[0],):
         raise ValueError(f"profile length {profile.shape} does not match "
                          f"{opposite.shape[0]} {other}-side entries")
+    if not ((profile >= 0) & (profile < np.inf)).all():  # NaN fails both
+        raise ValueError("profile entries must be finite and non-negative")
     total = profile.sum()
     if total <= 0:
         raise ValueError("profile must have positive sum")

@@ -87,6 +87,8 @@ class Dendrogram:
             raise ValueError(f"{len(self.merges)} merges for {self.n_leaves} leaves")
         if len(self.labels) != self.n_leaves:
             raise ValueError("one label per leaf required")
+        if len(set(self.labels)) != self.n_leaves:  # a cut maps each label to one cluster
+            raise ValueError("leaf labels must be distinct")
         if self.criterion not in ("ward", "constrained_complete"):
             raise ValueError(f"criterion must be 'ward' or 'constrained_complete', "
                              f"got {self.criterion!r}")

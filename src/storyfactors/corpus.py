@@ -257,13 +257,8 @@ def load_word_list(path: str | Path) -> frozenset[str]:
     return frozenset(line for _, line in lines(path))
 
 
-def table_to_csv(table: CellCounts) -> str:
-    """Serialize a table: header of word labels, one row per document."""
-    return "".join(table_csv_rows(table))
-
-
 def table_csv_rows(table: CellCounts) -> Iterator[str]:
-    """The lines of :func:`table_to_csv`, header first, one string each.
+    """A table's CSV lines, one string each: a header of word labels, then one row per document.
 
     The bytes are those of ``csv.writer`` (``lineterminator="\\n"``) over
     ``[label, *counts]`` with each count written as ``str(int)``: labels
@@ -288,7 +283,7 @@ def table_csv_rows(table: CellCounts) -> Iterator[str]:
 
 
 def table_from_csv(data: str) -> CellCounts:
-    """Parse :func:`table_to_csv` output; exact round-trip."""
+    """Parse the joined lines of :func:`table_csv_rows`; exact round-trip."""
     header, rows = read_csv(data)
     if not header or header[0] != "doc_id":
         raise ValueError("table CSV must start with a doc_id header column")

@@ -53,12 +53,11 @@ _ARTIFACTS = {
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name for diagnostics."""
+    """A pipeline stage failed: ``stage`` names it, ``__cause__`` holds the original error."""
 
     def __init__(self, stage: str, cause: Exception) -> None:
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -276,11 +275,9 @@ def _segment_ids(config: PipelineConfig, result: PipelineResult) -> tuple[np.nda
             raise ValueError(f"segment sizes sum to {covered}, expected {len(labels)}")
         units = np.arange(1, len(labels) + 1)
     else:
-        if config.unit == "paragraph":
-            units = np.array([int(label) for label in labels])
-        else:
-            paragraph_of = {str(r.sentence_id): r.paragraph_id for r in result.sentences}
-            units = np.array([paragraph_of[label] for label in labels])
+        key = "paragraph_id" if config.unit == "paragraph" else "sentence_id"  # what a row label names
+        paragraph_of = {str(getattr(r, key)): r.paragraph_id for r in result.sentences}
+        units = np.array([paragraph_of[label] for label in labels])
         if covered < units.max():
             raise ValueError(f"segment sizes cover paragraphs 1..{covered} but the "
                              f"table reaches paragraph {units.max()}")
@@ -350,7 +347,7 @@ def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
     if empty.size:
         raise ValueError(f"segment {empty[0]} of {k} has no rows after filtering")
     table = result.table = corpus.aggregate(result.table, ids)
-    _write(result, "segments", corpus.table_to_csv(table))
+    _write(result, "segments", corpus.table_csv_rows(table))
     return f"aggregate: {table.shape[0]} segments"
 
 

@@ -120,8 +120,8 @@ def render_factor_plane(
     The points of ``side`` named in ``labels`` (each at most once) are
     drawn and labelled, in the model's order; the renderer ranks nothing
     (the words contributing most to a plane are :func:`ca.top_contributors`).
-    With ``trajectory`` the row points are additionally joined, in row
-    order, by arrows — for tables whose rows are chronological segments.
+    With ``trajectory`` the drawn points are joined by arrows in that
+    order — for tables whose rows are chronological segments.
     """
     side_labels, coords, _ = model.side(side)
     for axis in (axis_x, axis_y):
@@ -142,11 +142,8 @@ def render_factor_plane(
     chosen = sorted(labels, key=index.__getitem__)
     pts = np.array([[coords[index[lab], axis_x - 1], coords[index[lab], axis_y - 1]]
                     for lab in chosen])
-    traj = model.row_coords[:, [axis_x - 1, axis_y - 1]] if trajectory else None
-
-    shown = pts if traj is None else np.vstack([pts, traj])
-    span_x = float(np.abs(shown[:, 0]).max())
-    span_y = float(np.abs(shown[:, 1]).max())
+    span_x = float(np.abs(pts[:, 0]).max())
+    span_y = float(np.abs(pts[:, 1]).max())
     width, height, margin = _PLANE_WIDTH, _PLANE_HEIGHT, 56.0
     # One common unit-per-pixel scale so plane distances keep their meaning.
     scale = min(
@@ -168,16 +165,11 @@ def render_factor_plane(
     svg.line(margin / 2, cy, width - margin / 2, cy, stroke="#bbbbbb")
     svg.line(cx, margin / 2, cx, height - margin / 2, stroke="#bbbbbb")
 
-    if traj is not None:
-        for a, b in zip(traj[:-1], traj[1:]):
+    if trajectory:
+        for a, b in zip(pts[:-1], pts[1:]):
             (x1, y1), (x2, y2) = to_px(a), to_px(b)
             svg.line(x1, y1, x2, y2, stroke="#555555", width=1.2,
                      extra=" marker-end=\"url(#arrow)\"")
-        if side != "row":
-            for i, p in enumerate(traj):
-                x, y = to_px(p)
-                svg.circle(x, y, 3.5, _ROW_COLOR)
-                svg.text(x + 5, y - 5, model.row_labels[i], size=11, fill=_ROW_COLOR)
 
     color = _ROW_COLOR if side == "row" else _COL_COLOR
     anchors = []

@@ -67,6 +67,14 @@ def test_chi2_row_distance_oracle():
             ca.chi2_row_distance(with_empty, i, i2)
 
 
+def test_chi2_row_distance_rejects_a_row_index_outside_the_table():
+    # -1 would measure the last row, as numpy indexing reads it.
+    table = _table([[2, 1], [1, 4]])
+    for i, i2 in ((-1, 0), (0, 2), (3, 1)):
+        with pytest.raises(ValueError, match=r"^row index -?\d+ outside 0\.\.1$"):
+            ca.chi2_row_distance(table, i, i2)
+
+
 def test_chi2_row_distance_rejects_a_zero_column():
     # c_z = 0 would divide 0 by 0: nan and a RuntimeWarning, not a distance.
     table = CellCounts.of(("a", "b"), ("x", "y", "z"), [[4, 1, 0], [2, 3, 0]])
@@ -305,6 +313,14 @@ def test_supplementary_column_side_and_validation():
     with pytest.raises(ValueError, match="positive sum"):
         ca.project_supplementary(model, [0.0, 0.0, 0.0], side="row")
 
+
+
+def test_supplementary_profile_entries_must_be_finite_and_non_negative():
+    # NaN and inf would project to NaN; a negative entry is no count.
+    model = ca.fit_ca(_table([[4, 1, 2], [2, 3, 1], [1, 1, 5]]))
+    for profile in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1.0, -np.inf, 1.0], [5.0, -1.0, 1.0]):
+        with pytest.raises(ValueError, match="^profile entries must be finite and non-negative$"):
+            ca.project_supplementary(model, profile, side="row")
 
 
 def test_supplementary_length_error_names_the_projecting_side():

@@ -789,6 +789,17 @@ def test_dendrogram_rejects_unknown_nodes_and_wrong_sizes():
     assert clustering.dendrogram_from_text(head + "merge 1 2 1.0 2\nmerge 0 3 2.0 3\n").n_leaves == 3
 
 
+def test_dendrogram_rejects_duplicate_leaf_labels():
+    # A partition maps each label to one cluster: a repeated label would
+    # drop a point from it, as cut_k gave {'a': 2, 'b': 1} for three points.
+    cloud = PointCloud(("a", "b", "a"), [[0.0], [1.0], [5.0]])
+    for build in (clustering.constrained_complete_link, clustering.ward_cluster):
+        with pytest.raises(ValueError, match="^leaf labels must be distinct$"):
+            build(cloud)
+    with pytest.raises(ValueError, match="^leaf labels must be distinct$"):
+        clustering.dendrogram_from_text("criterion ward\nleaves 2\nleaf 0 a\nleaf 1 a\nmerge 0 1 1.0 2\n")
+
+
 def test_dendrogram_text_round_trip():
     rng = np.random.default_rng(33)
     labels, coords = random_cloud_arrays(rng, 7)

@@ -293,7 +293,7 @@ def test_load_word_list_strips_comments(tmp_path):
 
 def test_table_csv_round_trip():
     table = _demo_table()
-    data = corpus.table_to_csv(table)
+    data = "".join(corpus.table_csv_rows(table))
     assert data.splitlines()[0] == "doc_id,the,cat,sat,mat,a,zz"
     back = corpus.table_from_csv(data)
     assert back.row_labels == table.row_labels
@@ -709,7 +709,7 @@ def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path)
     def dense_route():  # the filter's dense fill, then slice sums and one string
         kept = _dense_apply_filter(cells, filt)
         segments = _aggregate_slice_sums(kept, segment_ids)
-        (tmp_path / "dense.csv").write_text(corpus.table_to_csv(kept), encoding="utf-8")
+        (tmp_path / "dense.csv").write_text("".join(corpus.table_csv_rows(kept)), encoding="utf-8")
         return kept.shape, segments
 
     def traced_peak(route):
@@ -725,7 +725,7 @@ def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path)
 
     assert traced_peak(cells_route) < bound
     assert (tmp_path / "table.csv").read_bytes() == (
-        corpus.table_to_csv(cells).encode())
+        "".join(corpus.table_csv_rows(cells)).encode())
     # The dense route exceeds the bound, so the bound can tell them apart.
     assert traced_peak(dense_route) > bound
 
@@ -768,7 +768,7 @@ def test_cell_counts_round_trip_a_dense_table(array):
 @settings(max_examples=300, deadline=None)
 def test_table_to_csv_matches_csv_writer(array):
     table = corpus.CellCounts.of(*array)
-    assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
+    assert "".join(corpus.table_csv_rows(table)) == _reference_table_to_csv(table)
 
 
 def test_table_to_csv_edge_shapes_match_csv_writer():
@@ -783,4 +783,4 @@ def test_table_to_csv_edge_shapes_match_csv_writer():
             [[3, 0, 0, 0], [0, 0, 0, 12], [0, 0, 0, 0], [1, 2, 3, 4], [0, 10**18, 0, 0]])),
     ]
     for table in tables:
-        assert corpus.table_to_csv(table) == _reference_table_to_csv(table)
+        assert "".join(corpus.table_csv_rows(table)) == _reference_table_to_csv(table)

@@ -337,7 +337,7 @@ def test_stage_error_names_stage_and_removes_outputs(mini):
         pipeline.run_pipeline(config, out_dir=out)
     assert excinfo.value.stage == "filter"
     assert str(excinfo.value).startswith("[filter] ")
-    assert isinstance(excinfo.value.cause, ValueError)
+    assert isinstance(excinfo.value.__cause__, ValueError)
     # The partial sentences.csv was cleaned up.
     assert list(out.iterdir()) == []
 
@@ -645,7 +645,7 @@ def test_paragraph_unit_runs_end_to_end(mini):
         out_dir=root / "segments", upto="aggregate")
     assert segmented.summary[-1] == "aggregate: 2 segments"
     assert segmented.files["segments"].read_text(encoding="utf-8") == \
-        corpus.table_to_csv(corpus.aggregate(result.table, [1, 2, 2]))
+        "".join(corpus.table_csv_rows(corpus.aggregate(result.table, [1, 2, 2])))
     assert _aggregate_error(root, write_config("short.cfg", unit="paragraph", segment_sizes="1,1")) \
         == "[aggregate] segment sizes cover paragraphs 1..2 but the table reaches paragraph 3"
 
@@ -811,26 +811,39 @@ def test_failing_ca_writer_is_a_fit_ca_stage_error(mini, monkeypatch, writer):
     with pytest.raises(pipeline.StageError) as excinfo:
         pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
     assert str(excinfo.value) == f"[fit_ca] {error}"
-    assert excinfo.value.cause is error
+    assert excinfo.value.__cause__ is error
     assert list(out.iterdir()) == []
 
 
-def test_ca_writer_failing_after_its_header_leaves_no_file(mini, monkeypatch):
-    # The writers' lines are formatted while the stage writes them, so a
+@pytest.mark.parametrize("module, writer, failing_call, stage", [
+    (ca, "coordinates_csv", 1, "fit_ca"),
+    (corpus, "table_csv_rows", 1, "filter"),  # table.csv
+    (corpus, "table_csv_rows", 2, "aggregate"),  # table_segments.csv
+], ids=["fit_ca", "filter", "aggregate"])
+def test_writer_failing_after_its_header_leaves_no_file(mini, monkeypatch, module, writer,
+                                                        failing_call, stage):
+    # The tables' lines are formatted while the stage writes them, so a
     # writer can fail with its file half written; the run removes it.
     root, write_config = mini
     error = ValueError("no row block")
+    real, calls = getattr(module, writer), []
 
-    def failing(model, side="row"):
-        yield "label,axis_1\n"
-        raise error
+    def failing(*args):
+        calls.append(args)
+        lines = real(*args)
+        yield next(lines)  # the header
+        if len(calls) < failing_call:
+            yield from lines
+        else:
+            raise error
 
-    monkeypatch.setattr(ca, "coordinates_csv", failing)
+    monkeypatch.setattr(module, writer, failing)
     out = root / "out"
+    config = pipeline.parse_config(write_config(segment_ranges="1-1,2-2,3-3"))
     with pytest.raises(pipeline.StageError) as excinfo:
-        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
-    assert str(excinfo.value) == f"[fit_ca] {error}"
-    assert excinfo.value.cause is error
+        pipeline.run_pipeline(config, out_dir=out)
+    assert str(excinfo.value) == f"[{stage}] {error}"
+    assert excinfo.value.__cause__ is error
     assert list(out.iterdir()) == []
 
 

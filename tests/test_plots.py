@@ -70,11 +70,36 @@ def test_top_k_larger_than_vocabulary_draws_everything():
     assert svg.count("<circle") == 6
 
 
+def _points_and_arrows(svg):
+    """The drawn points' pixel centres, in drawing order, and each arrow's two ends."""
+    root = ET.fromstring(svg)
+    ns = "{http://www.w3.org/2000/svg}"
+    points = [(c.get("cx"), c.get("cy")) for c in root.iter(ns + "circle")]
+    arrows = [((line.get("x1"), line.get("y1")), (line.get("x2"), line.get("y2")))
+              for line in root.iter(ns + "line") if line.get("marker-end")]
+    return points, arrows
+
+
 def test_trajectory_draws_arrows_between_consecutive_rows():
     model = _model(rows=8, cols=12)
-    svg = plots.render_factor_plane(model, side="col", labels=_top(model, 5), trajectory=True)
-    assert svg.count('marker-end="url(#arrow)"') == 7
-    assert svg.count("<circle") == 5 + 8  # word points plus segment points
+    svg = plots.render_factor_plane(model, side="row", labels=model.row_labels, trajectory=True)
+    points, arrows = _points_and_arrows(svg)
+    assert len(points) == 8
+    assert arrows == list(zip(points[:-1], points[1:]))
+
+
+def test_trajectory_over_a_subset_of_rows_joins_only_the_drawn_rows():
+    model = _model(rows=8, cols=12)
+    svg = plots.render_factor_plane(model, side="row", labels=["s5", "s1", "s3"], trajectory=True)
+    points, arrows = _points_and_arrows(svg)
+    assert arrows == list(zip(points[:-1], points[1:]))  # two arrows, not seven
+    # The points are rows s1, s3, s5 in the model's order: one scale maps
+    # their plane coordinates onto their offsets from the canvas centre.
+    centre = [plots._PLANE_WIDTH / 2, plots._PLANE_HEIGHT / 2]
+    offsets = (np.array(points, dtype=float) - centre) * [1, -1]
+    coords = model.row_coords[[1, 3, 5], :2]
+    scale = (offsets * coords).sum() / (coords**2).sum()
+    assert np.allclose(offsets, scale * coords, atol=0.01)
 
 
 def test_row_side_trajectory_does_not_duplicate_row_points():
