@@ -43,34 +43,32 @@ class CAModel:
     singular_values: np.ndarray  # descending, length K
     row_coords: np.ndarray  # F, n x K principal coordinates
     col_coords: np.ndarray  # G, m x K principal coordinates
-    row_contrib: np.ndarray  # n x K, columns sum to 1
-    col_contrib: np.ndarray  # m x K, columns sum to 1
     total_inertia: float  # sum of squared singular values = chi^2/total
 
     def __post_init__(self) -> None:
-        for name in (
-            "row_masses",
-            "col_masses",
-            "singular_values",
-            "row_coords",
-            "col_coords",
-            "row_contrib",
-            "col_contrib",
-        ):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_axes(self) -> int:
         return len(self.singular_values)
 
     def side(self, name: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """``(labels, coords, contrib)`` of the ``"row"`` or ``"col"`` cloud."""
+        """``(labels, coords, masses)`` of the ``"row"`` or ``"col"`` cloud."""
         if name == "row":
-            return self.row_labels, self.row_coords, self.row_contrib
+            return self.row_labels, self.row_coords, self.row_masses
         if name == "col":
-            return self.col_labels, self.col_coords, self.col_contrib
+            return self.col_labels, self.col_coords, self.col_masses
         raise ValueError(f"unknown side {name!r}")
+
+    def contributions(self, side: str) -> np.ndarray:
+        """Each point's share of each axis's inertia, m_i f_ik^2 / sigma_k^2;
+        every column sums to 1.  Computed on each call, not held."""
+        _, coords, masses = self.side(side)
+        contrib = coords**2
+        contrib *= masses[:, None]
+        contrib /= self.singular_values**2
+        return contrib
 
 
 def _nonzero_margin(sums: np.ndarray, labels: tuple[str, ...], what: str) -> np.ndarray:
@@ -138,15 +136,8 @@ def fit_ca(table: CellCounts) -> CAModel:
     np.negative(F, out=F, where=flip)
     np.negative(G, out=G, where=flip)
 
-    row_contrib = F**2
-    row_contrib *= r[:, None]
-    row_contrib /= sigma**2
-    col_contrib = G**2
-    col_contrib *= c[:, None]
-    col_contrib /= sigma**2
-
-    if transposed:  # hand each (masses, coords, contrib) triple back to its side
-        (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)
+    if transposed:  # hand each (masses, coords) pair back to its side
+        (r, F), (c, G) = (c, G), (r, F)
     return CAModel(
         row_labels=table.row_labels,
         col_labels=table.col_labels,
@@ -155,8 +146,6 @@ def fit_ca(table: CellCounts) -> CAModel:
         singular_values=sigma,
         row_coords=F,
         col_coords=G,
-        row_contrib=row_contrib,
-        col_contrib=col_contrib,
         total_inertia=float(np.sum(sigma**2)),
     )
 
@@ -203,8 +192,8 @@ def top_contributors(
         raise ValueError("no axes given")
     if axis_list[0] < 1 or axis_list[-1] > model.n_axes:
         raise ValueError(f"axes {axis_list} outside 1..{model.n_axes}")
-    labels, _, contrib = model.side(side)
-    summed = contrib[:, [a - 1 for a in axis_list]].sum(axis=1)
+    labels = model.side(side)[0]
+    summed = model.contributions(side)[:, [a - 1 for a in axis_list]].sum(axis=1)
     ranked = sorted(zip(labels, summed), key=lambda item: (-item[1], item[0]))
     return [(label, float(value)) for label, value in ranked[:k]]
 
@@ -255,8 +244,8 @@ def coordinates_csv(model: CAModel, side: str = "row") -> Iterator[str]:
 
 def contributions_csv(model: CAModel, side: str = "row") -> Iterator[str]:
     """Contribution shares as an iterator over CSV lines: label, then one column per axis."""
-    labels, _, contrib = model.side(side)
-    return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))], labels, contrib)
+    return _matrix_csv(["label", *(f"axis_{k + 1}" for k in range(model.n_axes))],
+                       model.side(side)[0], model.contributions(side))
 
 
 # Every CA table is written by a numpy formatter whose bytes are those of

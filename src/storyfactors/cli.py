@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
@@ -47,9 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     upto = _COMMANDS[args.command][0]
     try:
         config = pipeline.parse_config(args.config)
-        if args.out is not None:
-            config = replace(config, out_dir=args.out)
-        result = pipeline.run_pipeline(config, upto=upto)
+        result = pipeline.run_pipeline(config, out_dir=args.out, upto=upto)
     except pipeline.StageError as err:
         print(f"error {err}", file=sys.stderr)
         return 1

@@ -9,10 +9,10 @@ summary; any failure is re-raised as a :class:`StageError` naming the
 stage.  The table passes between stages as its non-zero cells
 (:class:`corpus.CellCounts`); ``fit_ca`` and the v-test build the dense
 array they need themselves.  What no later stage reads is dropped: the
-token lists once built, the built table once ``fit_ca`` starts.  A run
-first removes every artifact a previous run may have left in the output
-directory, and a failed run removes what it wrote, so the directory
-holds exactly one run's artifacts or none.  All outputs are pure
+token lists once built, the built table once filtered.  A run first
+removes every artifact a previous run may have left in the output
+directory, and a failed or interrupted run removes what it wrote, so the
+directory holds exactly one run's artifacts or none.  All outputs are pure
 functions of the config and input files, so two runs over the same
 inputs are byte-identical.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Flat, file-loadable description of one batch run."""
+    """Flat, file-loadable description of one batch run, checked when built."""
 
     input_text: Path
     abbreviations: Path | None = None
@@ -84,7 +84,7 @@ class PipelineConfig:
     plot_top_k: int = 20
     out_dir: Path | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in _PATH_KEYS:
             path = getattr(self, name)
             if path is not None and not Path(path).is_file():
@@ -189,25 +189,22 @@ def parse_config(path: str | Path) -> PipelineConfig:
         kwargs[name] = value
     if "input_text" not in kwargs:
         raise ValueError(f"{path}: missing required key 'input_text'")
-    config = PipelineConfig(**kwargs)
-    config.validate()
-    return config
+    return PipelineConfig(**kwargs)
 
 
 @dataclass
 class PipelineResult:
     """Artifacts of one run: file paths, stage summary, and live objects;
     ``tokens`` share one string per distinct word, and go back to ``None``
-    once the build stage has counted them, as ``cells`` does when ``fit_ca``
-    starts."""
+    once the build stage has counted them.  ``table`` is the built table,
+    then the filtered one, then the aggregated one."""
 
     out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
     summary: list[str] = field(default_factory=list)
     sentences: list[textprep.SentenceRecord] | None = None
     tokens: list[textprep.TokenList] | None = None
-    cells: corpus.CellCounts | None = None  # the built, unfiltered table
-    table: corpus.CellCounts | None = None  # the analysed table: filtered, then aggregated
+    table: corpus.CellCounts | None = None
     model: ca.CAModel | None = None
     dendrogram: clustering.Dendrogram | None = None
     partition: clustering.Partition | None = None
@@ -230,13 +227,12 @@ def _remove_artifacts(directory: Path) -> None:
         (directory / filename).unlink(missing_ok=True)
 
 
-def _read_segment_file(path: Path, built_labels: tuple[str, ...],
+def _read_segment_file(path: Path, built: Container[str],
                        row_labels: tuple[str, ...]) -> tuple[np.ndarray, int]:
     """The given rows' segment ids, and the number of segments the file gives.
 
-    Every label must name a row of the built table; rows that the filter
-    emptied still count, so their labels may stay in the file."""
-    built = set(built_labels)
+    Every label must name a row of the built table, one of ``built``; rows
+    that the filter emptied still count, so their labels may stay in the file."""
     assignment = {}
     for lineno, line in lines(path):
         label, _, segment = line.partition(",")
@@ -266,8 +262,11 @@ def _segment_ids(config: PipelineConfig, result: PipelineResult) -> tuple[np.nda
     Segment sizes count table rows or paragraphs; a row's id is the first
     segment whose cumulative size reaches the row's position or paragraph."""
     labels = result.table.row_labels
+    key = "paragraph_id" if config.unit == "paragraph" else "sentence_id"  # what a row label names
+    # Its keys are the built table's row labels: every sentence id, or every paragraph id.
+    paragraph_of = {str(getattr(r, key)): r.paragraph_id for r in result.sentences}
     if config.segment_file is not None:
-        return _read_segment_file(config.segment_file, result.cells.row_labels, labels)
+        return _read_segment_file(config.segment_file, paragraph_of.keys(), labels)
     ends = np.cumsum(config.segment_sizes, dtype=object)  # exact: int64 sums can wrap
     covered = ends[-1]
     if config.segment_by == "row":
@@ -275,8 +274,6 @@ def _segment_ids(config: PipelineConfig, result: PipelineResult) -> tuple[np.nda
             raise ValueError(f"segment sizes sum to {covered}, expected {len(labels)}")
         units = np.arange(1, len(labels) + 1)
     else:
-        key = "paragraph_id" if config.unit == "paragraph" else "sentence_id"  # what a row label names
-        paragraph_of = {str(getattr(r, key)): r.paragraph_id for r in result.sentences}
         units = np.array([paragraph_of[label] for label in labels])
         if covered < units.max():
             raise ValueError(f"segment sizes cover paragraphs 1..{covered} but the "
@@ -316,9 +313,9 @@ def _tokenize(config: PipelineConfig, result: PipelineResult) -> str:
 def _build(config: PipelineConfig, result: PipelineResult) -> str:
     row_ids = ([r.paragraph_id for r in result.sentences]
                if config.unit == "paragraph" else None)  # None: one row per sentence
-    cells = result.cells = corpus.count_cells(result.tokens, row_ids)
+    built = result.table = corpus.count_cells(result.tokens, row_ids)
     result.tokens = None  # no later stage reads them
-    return f"build: {cells.shape[0]} {config.unit} rows x {cells.shape[1]} words"
+    return f"build: {built.shape[0]} {config.unit} rows x {built.shape[1]} words"
 
 
 def _filter(config: PipelineConfig, result: PipelineResult) -> str:
@@ -332,8 +329,8 @@ def _filter(config: PipelineConfig, result: PipelineResult) -> str:
         stopwords=stopwords,
         lexicon=lexicon,
     )
-    built_rows = result.cells.shape[0]
-    table = result.table = corpus.apply_filter(result.cells, filt)
+    built_rows = result.table.shape[0]
+    table = result.table = corpus.apply_filter(result.table, filt)  # the built table goes
     _write(result, "table", corpus.table_csv_rows(table))
     return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
             f"{table.shape[0]} non-empty rows, {built_rows - table.shape[0]} emptied")
@@ -352,7 +349,6 @@ def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
 
 
 def _fit_ca(config: PipelineConfig, result: PipelineResult) -> str:
-    result.cells = None  # the aggregate stage was its last reader
     model = result.model = ca.fit_ca(result.table)
     # One matrix, and of it one block of rows, at a time: only that block's text is alive.
     _write(result, "inertia", ca.inertia_table_csv(model))
@@ -444,11 +440,11 @@ def run_pipeline(
     Every artifact name is first deleted from the output directory, so it
     ends up holding this run's artifacts only.  Returns a
     :class:`PipelineResult`; raises :class:`StageError` on any failure
-    after deleting the files this run had already written.
+    after deleting the files this run had already written, and deletes
+    them before an interrupt such as ``KeyboardInterrupt`` propagates.
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}; expected one of {STAGES}")
-    config.validate()
     directory = out_dir if out_dir is not None else config.out_dir
     if directory is None:
         raise ValueError("no output directory: set out_dir in the config or pass --out")
@@ -463,7 +459,9 @@ def run_pipeline(
                 result.summary.append(line)
             if stage == upto:
                 break
-    except Exception as exc:
+    except BaseException as exc:  # an interrupt, too, leaves no partial artifact
         _remove_artifacts(directory)
-        raise StageError(stage, exc) from exc
+        if isinstance(exc, Exception):
+            raise StageError(stage, exc) from exc
+        raise
     return result

@@ -204,8 +204,8 @@ def test_criterion_10_property_suite(tmp_path, capsys):
                 and np.allclose(c @ G**2, sigma_sq, atol=1e-10)):
             failures.append(f"axis inertia (trial {trial})")
         if model.n_axes and not (
-                np.allclose(model.row_contrib.sum(axis=0), 1.0, atol=1e-10)
-                and np.allclose(model.col_contrib.sum(axis=0), 1.0, atol=1e-10)):
+                np.allclose(model.contributions("row").sum(axis=0), 1.0, atol=1e-10)
+                and np.allclose(model.contributions("col").sum(axis=0), 1.0, atol=1e-10)):
             failures.append(f"contribution sums (trial {trial})")
         if abs(float(r @ np.sum(F**2, axis=1)) - model.total_inertia) > 1e-10:
             failures.append(f"parseval (trial {trial})")

@@ -50,7 +50,7 @@ def test_symmetric_two_by_two_oracle():
     assert model.total_inertia == pytest.approx(0.25, abs=1e-14)
     assert model.row_coords[:, 0] == pytest.approx([0.5, -0.5], abs=1e-14)
     assert model.col_coords[:, 0] == pytest.approx([0.5, -0.5], abs=1e-14)
-    assert model.row_contrib[:, 0] == pytest.approx([0.5, 0.5], abs=1e-14)
+    assert model.contributions("row")[:, 0] == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
 def test_chi2_row_distance_oracle():
@@ -123,8 +123,8 @@ def test_centering_and_axis_inertia_identities():
         assert np.allclose(r @ F**2, sigma_sq, atol=1e-10)
         assert np.allclose(c @ G**2, sigma_sq, atol=1e-10)
         if model.n_axes:
-            assert np.allclose(model.row_contrib.sum(axis=0), 1.0, atol=1e-10)
-            assert np.allclose(model.col_contrib.sum(axis=0), 1.0, atol=1e-10)
+            assert np.allclose(model.contributions("row").sum(axis=0), 1.0, atol=1e-10)
+            assert np.allclose(model.contributions("col").sum(axis=0), 1.0, atol=1e-10)
 
 
 def _profile_to_centroid_sq(table, i):
@@ -168,7 +168,7 @@ def test_transpose_swaps_outputs_exactly():
         assert np.array_equal(swapped.singular_values, model.singular_values)
         assert np.array_equal(swapped.row_coords, model.col_coords)
         assert np.array_equal(swapped.col_coords, model.row_coords)
-        assert np.array_equal(swapped.row_contrib, model.col_contrib)
+        assert np.array_equal(swapped.contributions("row"), model.contributions("col"))
         assert np.array_equal(swapped.col_masses, model.row_masses)
 
 
@@ -187,7 +187,8 @@ def test_fit_transposes_only_when_the_transpose_sorts_lower(monkeypatch):
 
 
 def _out_of_place_fit(table):
-    """``fit_ca`` as it was before S was built in place, kept as the bitwise reference."""
+    """``fit_ca`` as it was before S was built in place, kept as the bitwise reference:
+    the model, and the row and column contributions it once held, by side."""
     counts = table.dense()
     n, m = counts.shape
     row_sums = counts.sum(axis=1)
@@ -221,8 +222,9 @@ def _out_of_place_fit(table):
         col_contrib = c[:, None] * G**2 / sigma**2
     if transposed:
         (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)
-    return ca.CAModel(table.row_labels, table.col_labels, r, c, sigma, F, G,
-                      row_contrib, col_contrib, float(np.sum(sigma**2)))
+    model = ca.CAModel(table.row_labels, table.col_labels, r, c, sigma, F, G,
+                       float(np.sum(sigma**2)))
+    return model, {"row": row_contrib, "col": col_contrib}
 
 
 def _poisson_table(rng, n, m, lam):
@@ -238,12 +240,38 @@ def test_fit_matches_out_of_place_residuals_bitwise():
     tables += [_poisson_table(rng, n, m, 0.7) for n, m in ((60, 41), (41, 60), (120, 200))]
     for table in tables:
         for oriented in (table, _transposed(table)):  # each fits in both orientations
-            model, reference = ca.fit_ca(oriented), _out_of_place_fit(oriented)
+            model, (reference, contributions) = ca.fit_ca(oriented), _out_of_place_fit(oriented)
             assert model.row_labels == reference.row_labels
             assert model.total_inertia == reference.total_inertia
             for name in ("row_masses", "col_masses", "singular_values", "row_coords",
-                         "col_coords", "row_contrib", "col_contrib"):
+                         "col_coords"):
                 assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+            for side in ("row", "col"):
+                assert np.array_equal(model.contributions(side), contributions[side]), side
+
+
+def test_contributions_are_derived_bitwise_and_not_held():
+    # The model holds no contributions: each call derives m_i f_ik^2 / sigma_k^2
+    # from the masses, coordinates and singular values, in the operation order
+    # of the eager arrays fit_ca once stored, here on arbitrary arrays as a
+    # library caller may pass them.  Fitted models, in both orientations, are
+    # checked against _out_of_place_fit above.
+    rng = np.random.default_rng(97)
+    for _ in range(40):
+        n, m, k = (int(v) for v in rng.integers(1, 9, size=3))
+        arrays = [rng.random(n), rng.random(m), rng.random(k) + 0.1,
+                  rng.normal(size=(n, k)), rng.normal(size=(m, k))]
+        model = ca.CAModel(tuple(map(str, range(n))), tuple(map(str, range(m))), *arrays, 1.0)
+        assert not any("contrib" in name for name in vars(model))
+        for masses, coords, side in ((arrays[0], arrays[3], "row"), (arrays[1], arrays[4], "col")):
+            eager = coords**2
+            eager *= masses[:, None]
+            eager /= arrays[2]**2
+            got = model.contributions(side)
+            assert np.array_equal(got, eager), side
+            assert got is not model.contributions(side) and got.flags.writeable
+    with pytest.raises(ValueError, match="^unknown side 'both'$"):
+        model.contributions("both")
 
 
 def test_fit_peak_memory_is_one_residual_array_plus_the_svd():
@@ -340,21 +368,20 @@ def test_cumulative_inertia_ends_at_exactly_100():
 
 
 def _synthetic_model(row_contrib, col_contrib):
-    row_contrib = np.asarray(row_contrib, dtype=float)
-    col_contrib = np.asarray(col_contrib, dtype=float)
-    n, k = row_contrib.shape
-    m = col_contrib.shape[0]
+    """A one-axis model whose contributions are exactly the given shares: with
+    unit coordinates and singular value, m_i f_i^2 / sigma^2 is the mass m_i."""
+    row_contrib = np.asarray(row_contrib, dtype=float)[:, 0]
+    col_contrib = np.asarray(col_contrib, dtype=float)[:, 0]
+    n, m = len(row_contrib), len(col_contrib)
     return ca.CAModel(
         row_labels=tuple(f"r{i}" for i in range(n)),
         col_labels=tuple(f"c{j}" for j in range(m)),
-        row_masses=np.full(n, 1.0 / n),
-        col_masses=np.full(m, 1.0 / m),
-        singular_values=np.full(k, 0.5),
-        row_coords=np.zeros((n, k)),
-        col_coords=np.zeros((m, k)),
-        row_contrib=row_contrib,
-        col_contrib=col_contrib,
-        total_inertia=k * 0.25,
+        row_masses=row_contrib,
+        col_masses=col_contrib,
+        singular_values=np.ones(1),
+        row_coords=np.ones((n, 1)),
+        col_coords=np.ones((m, 1)),
+        total_inertia=1.0,
     )
 
 
@@ -386,7 +413,7 @@ def test_top_contributors_orders_by_summed_contribution():
     top = ca.top_contributors(model, [1, 2], k=4)
     values = [v for _, v in top]
     assert values == sorted(values, reverse=True)
-    summed = model.col_contrib[:, :2].sum(axis=1)
+    summed = model.contributions("col")[:, :2].sum(axis=1)
     assert top[0][1] == pytest.approx(float(summed.max()))
 
 
@@ -553,9 +580,9 @@ def test_fast_path_decides_nearly_every_cell(sentence_sized_model, monkeypatch):
     model = sentence_sized_model
     template = {}
     for side in ("row", "col"):
-        labels, coords, contrib = model.side(side)
+        labels, coords, _ = model.side(side)
         template[side] = (_template_matrix_csv(labels, coords, model.n_axes),
-                          _template_matrix_csv(labels, contrib, model.n_axes))
+                          _template_matrix_csv(labels, model.contributions(side), model.n_axes))
     calls = []
     monkeypatch.setattr(ca, "_fmt", lambda value: calls.append(value) or format(value, ".12g"))
     for side in ("row", "col"):

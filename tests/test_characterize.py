@@ -176,9 +176,10 @@ def test_fit_and_vtest_take_the_filtered_cells(poe, stopwords):
     counts = table.dense()
     rebuilt = CellCounts.of(table.row_labels, table.col_labels, counts)
     want = ca.fit_ca(rebuilt)
-    for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords",
-                 "row_contrib", "col_contrib"):
+    for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords"):
         assert np.array_equal(getattr(model, name), getattr(want, name)), name
+    for side in ("row", "col"):
+        assert np.array_equal(model.contributions(side), want.contributions(side)), side
     P = counts / counts.sum()
     expected = np.outer(P.sum(axis=1), P.sum(axis=0))
     sigma = np.linalg.svd((P - expected) / np.sqrt(expected), compute_uv=False)

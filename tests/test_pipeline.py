@@ -128,39 +128,63 @@ def test_parse_config_names_key_and_line_of_bad_value(mini, key, value):
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad value for {key!r}: ")):
         pipeline.parse_config(path)
 
+
+# (config key, its text in a config file, the message of the check that rejects it)
+_BAD_VALUES = [
+    ("unit", "chapter", "unit must be one of ('sentence', 'paragraph'), got 'chapter'"),
+    ("cluster", "kmeans", "cluster must be one of ('ward', 'constrained'), got 'kmeans'"),
+    ("cut", "soft", "cut must be 'max-gap' or an integer, got 'soft'"),
+    ("cut", "0", "cut k must be >= 1"),
+    ("segment_by", "chapter", "segment_by must be 'paragraph' or 'row', got 'chapter'"),
+    ("vtest_alpha", "1.5", "vtest_alpha must lie strictly between 0 and 1"),
+    ("plot_axes", "2,2", "plot_axes must name two distinct axes, got (2, 2)"),
+    ("axes", "-1", "axes must be >= 0 (0 selects the full factor space)"),
+    ("min_doc_count", "0", "min_doc_count must be a positive integer"),
+    ("plot_top_k", "0", "plot_top_k must be >= 1"),
+]
+# (a change no config file can express, the message of the check that rejects it)
+_BAD_TUPLES = [
+    ({"segment_sizes": ()}, "segment_sizes must name at least one segment"),
+    ({"plot_axes": (1,)}, "plot_axes must name two distinct axes, got (1,)"),
+    ({"plot_axes": (1, 2, 3)}, "plot_axes must name two distinct axes, got (1, 2, 3)"),
+]
+
+
+def _assert_every_construction_rejects(config, change, message):
+    """Direct construction and dataclasses.replace both raise exactly ``message``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline.PipelineConfig(**{**dataclasses.asdict(config), **change})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(config, **change)
+
+
 def test_config_validate_catches_bad_values(mini):
     _, write_config = mini
-    cases = [
-        ("unit", "chapter", "unit must be one of ('sentence', 'paragraph'), got 'chapter'"),
-        ("cluster", "kmeans", "cluster must be one of ('ward', 'constrained'), got 'kmeans'"),
-        ("cut", "soft", "cut must be 'max-gap' or an integer, got 'soft'"),
-        ("cut", "0", "cut k must be >= 1"),
-        ("segment_by", "chapter", "segment_by must be 'paragraph' or 'row', got 'chapter'"),
-        ("vtest_alpha", "1.5", "vtest_alpha must lie strictly between 0 and 1"),
-        ("plot_axes", "2,2", "plot_axes must name two distinct axes, got (2, 2)"),
-        ("axes", "-1", "axes must be >= 0 (0 selects the full factor space)"),
-        ("min_doc_count", "0", "min_doc_count must be a positive integer"),
-        ("plot_top_k", "0", "plot_top_k must be >= 1"),
-    ]
-    for key, value, message in cases:
+    for key, value, message in _BAD_VALUES:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pipeline.parse_config(write_config(**{key: value}))
 
 
-def test_config_validate_names_the_key_of_a_library_caller_tuple(mini, tmp_path):
+def test_config_validate_names_the_key_of_a_library_caller_tuple(mini):
     _, write_config = mini
     config = pipeline.parse_config(write_config())
-    cases = [
-        ({"segment_sizes": ()}, "segment_sizes must name at least one segment"),
-        ({"plot_axes": (1,)}, "plot_axes must name two distinct axes, got (1,)"),
-        ({"plot_axes": (1, 2, 3)}, "plot_axes must name two distinct axes, got (1, 2, 3)"),
-    ]
-    for change, message in cases:
-        bad = dataclasses.replace(config, **change)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            bad.validate()
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            pipeline.run_pipeline(bad, out_dir=tmp_path / "out")
+    for change, message in _BAD_TUPLES:
+        _assert_every_construction_rejects(config, change, message)
+
+
+def test_config_checks_itself_when_built(mini):
+    # A config is checked once, when it is built: parse_config, a direct
+    # construction and dataclasses.replace give the same messages.
+    _, write_config = mini
+    config = pipeline.parse_config(write_config())
+    assert pipeline.PipelineConfig(**dataclasses.asdict(config)) == config
+    for key, value, message in _BAD_VALUES:
+        change = {key: pipeline._CONVERSIONS[key](value)}
+        _assert_every_construction_rejects(config, change, message)
+    missing = config.input_text.with_name("nope.txt")
+    _assert_every_construction_rejects(config, {"stopwords": missing},
+                                       f"stopwords file not found: {missing}")
+
 
 def test_full_run_artifacts_and_objects(mini):
     root, write_config = mini
@@ -507,9 +531,10 @@ def test_segment_file_label_must_name_a_built_row(mini):
     seg_file = root / "seg.csv"
     seg_file.write_text(sentences, encoding="utf-8")
     config = write_config(segment_file="seg.csv")
+    built = pipeline.run_pipeline(pipeline.parse_config(config), out_dir=root / "ok", upto="build")
+    assert built.table.row_labels[-1] == "10"
     result = pipeline.run_pipeline(pipeline.parse_config(config), out_dir=root / "ok",
                                    upto="aggregate")
-    assert result.cells.row_labels[-1] == "10"
     assert result.summary[-1].startswith("aggregate: 3 segments")
     for bad in ("99,3", "sentence 4,2"):
         seg_file.write_text(f"{sentences}# typo\n{bad}\n", encoding="utf-8")
@@ -602,33 +627,37 @@ def test_token_lists_are_released_once_counted(mini):
     assert len(tokenized.tokens) == len(tokenized.sentences)
     built = pipeline.run_pipeline(config, out_dir=root / "out", upto="build")
     assert built.tokens is None
-    assert built.cells.total == sum(len(tl.tokens) for tl in tokenized.tokens)
+    assert built.table.total == sum(len(tl.tokens) for tl in tokenized.tokens)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"segment_sizes": "1,1,1"}],
                          ids=["no_aggregate", "aggregate"])
-def test_built_table_is_released_before_fit_ca(mini, monkeypatch, overrides):
-    # The built table is read up to the aggregate stage; fit_ca and every
-    # later stage read only the analysed table.
+def test_built_table_is_released_once_filtered(mini, monkeypatch, overrides):
+    # The filter replaces the built table with its own: the filtered table
+    # is written, and aggregated, with the built one already gone.
     root, write_config = mini
-    count_cells, fit_ca = corpus.count_cells, ca.fit_ca
-    built, alive_at_fit = [], []
+    count_cells = corpus.count_cells
+    built, alive = [], []
 
     def counting(*args):
         cells = count_cells(*args)
         built.append(weakref.ref(cells))
         return cells
 
-    def fitting(table):
-        alive_at_fit.append(built[0]() is not None)
-        return fit_ca(table)
+    def watching(name):
+        function = getattr(corpus, name)
+        return lambda *args: alive.append((name, built[0]() is not None)) or function(*args)
 
     monkeypatch.setattr(corpus, "count_cells", counting)
-    monkeypatch.setattr(ca, "fit_ca", fitting)
+    for name in ("aggregate", "table_csv_rows"):
+        monkeypatch.setattr(corpus, name, watching(name))
     result = pipeline.run_pipeline(pipeline.parse_config(write_config(**overrides)),
                                    out_dir=root / "out")
-    assert alive_at_fit == [False]
-    assert result.cells is None and result.model is not None
+    calls = [("table_csv_rows", False)]
+    if overrides:
+        calls += [("aggregate", False), ("table_csv_rows", False)]
+    assert alive == calls
+    assert result.model is not None
 
 
 def test_paragraph_unit_runs_end_to_end(mini):
@@ -844,6 +873,25 @@ def test_writer_failing_after_its_header_leaves_no_file(mini, monkeypatch, modul
         pipeline.run_pipeline(config, out_dir=out)
     assert str(excinfo.value) == f"[{stage}] {error}"
     assert excinfo.value.__cause__ is error
+    assert list(out.iterdir()) == []
+
+
+def test_interrupted_run_leaves_no_file(mini, monkeypatch):
+    # An interrupt in the middle of a table is not a stage error: it goes on
+    # as it was raised, and the run's files, the half-written one too, go.
+    root, write_config = mini
+    real = ca.contributions_csv
+
+    def interrupted(model, side="row"):
+        lines = real(model, side)
+        yield next(lines)
+        yield next(lines)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ca, "contributions_csv", interrupted)
+    out = root / "out"
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_pipeline(pipeline.parse_config(write_config()), out_dir=out)
     assert list(out.iterdir()) == []
 
 

@@ -120,7 +120,8 @@ def test_selection_rules():
     model = _model(cols=8)
     top = _top(model, 3)
     assert len(top) == 3
-    score = model.col_contrib[:, 0] + model.col_contrib[:, 1]
+    contrib = model.contributions("col")
+    score = contrib[:, 0] + contrib[:, 1]
     best = model.col_labels[int(np.argmax(score))]
     assert best in top
     # The given labels are drawn in model order, whatever order they come in.
@@ -133,7 +134,7 @@ def test_selection_rules():
 
 def _old_top_selection(model, axis_x, axis_y, side, k):
     """The top-k rule as plots ranked it before the ranking moved to ca.top_contributors."""
-    labels, _, contrib = model.side(side)
+    labels, contrib = model.side(side)[0], model.contributions(side)
     score = contrib[:, axis_x - 1] + contrib[:, axis_y - 1]
     order = sorted(range(len(labels)), key=lambda i: (-score[i], labels[i]))
     chosen = set(order[:k])
