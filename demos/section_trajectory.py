@@ -11,7 +11,7 @@ order.
 from pathlib import Path
 
 import storyfactors
-from storyfactors import pipeline
+from storyfactors import ca, pipeline
 
 DATA = Path(storyfactors.__file__).parent / "data"
 OUT = Path("demo_output/sections")
@@ -31,10 +31,8 @@ for line in result.summary:
 model = result.model
 print(f"\n{model.n_axes} factor axes over {len(model.row_labels)} sections")
 print("axis  inertia%  cumulative%")
-cumulative = 0.0
-for k, sigma in enumerate(model.singular_values, start=1):
-    share = 100.0 * sigma**2 / model.total_inertia
-    cumulative += share
+for k, (share, cumulative) in enumerate(
+        zip(model.percent, ca.cumulative_inertia(model)), start=1):
     print(f"  {k}     {share:5.1f}     {cumulative:5.1f}")
 
 # Positions of the sections on the first plane.  Read in order, they

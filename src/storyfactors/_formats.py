@@ -33,6 +33,11 @@ def _csv_rows(header: Sequence, rows: Iterable[Sequence]) -> list[str]:
     return out  # one string per row, header first
 
 
+def format_float(value: float) -> str:
+    """A float as a CSV cell: 12 significant digits, as ``format(value, ".12g")``."""
+    return format(value, ".12g")
+
+
 def write_csv(header: Sequence, rows: Iterable[Sequence]) -> str:
     """The header and rows with csv quoting and ``\\n`` line ends."""
     return "".join(_csv_rows(header, rows))

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._formats import labelled_csv
+from ._formats import format_float, labelled_csv
 from .corpus import CellCounts
 
 # Relative trim per axis plus an absolute floor: singular values are at
@@ -32,7 +32,7 @@ _REL_TRIM = 1e-12
 _ABS_TRIM = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: equal means identical
 class CAModel:
     """Fitted factor space shared by the rows and columns of one table."""
 
@@ -43,7 +43,6 @@ class CAModel:
     singular_values: np.ndarray  # descending, length K
     row_coords: np.ndarray  # F, n x K principal coordinates
     col_coords: np.ndarray  # G, m x K principal coordinates
-    total_inertia: float  # sum of squared singular values = chi^2/total
 
     def __post_init__(self) -> None:
         for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords"):
@@ -52,6 +51,14 @@ class CAModel:
     @property
     def n_axes(self) -> int:
         return len(self.singular_values)
+
+    @property
+    def total_inertia(self) -> float:  # chi^2/total, the sum of the squared singular values
+        return float(np.sum(self.singular_values**2))
+
+    @property
+    def percent(self) -> np.ndarray:  # each axis's share of the total inertia, in percent
+        return 100 * self.singular_values**2 / self.total_inertia
 
     def side(self, name: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """``(labels, coords, masses)`` of the ``"row"`` or ``"col"`` cloud."""
@@ -146,7 +153,6 @@ def fit_ca(table: CellCounts) -> CAModel:
         singular_values=sigma,
         row_coords=F,
         col_coords=G,
-        total_inertia=float(np.sum(sigma**2)),
     )
 
 
@@ -224,14 +230,10 @@ def project_supplementary(
     return (profile / total) @ opposite / model.singular_values
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
 def inertia_table_csv(model: CAModel) -> Iterator[str]:
     """An iterator over CSV lines, one per axis: axis, sigma, sigma^2, percent, cumulative."""
-    sigma, sq = model.singular_values, model.singular_values**2
-    table = np.column_stack([sigma, sq, 100 * sq / model.total_inertia, cumulative_inertia(model)])
+    sigma = model.singular_values
+    table = np.column_stack([sigma, sigma**2, model.percent, cumulative_inertia(model)])
     return _matrix_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"],
                        [str(k) for k in range(1, model.n_axes + 1)], table)
 
@@ -249,12 +251,12 @@ def contributions_csv(model: CAModel, side: str = "row") -> Iterator[str]:
 
 
 # Every CA table is written by a numpy formatter whose bytes are those of
-# format(v, ".12g").  A cell's text is digits[0..X] "." digits[X+1..] when
-# its decimal exponent X is in -4..11, and d "." ddd "e" X otherwise, with
-# the 12 significant digits rounded correctly and trailing zeros dropped.  A
-# cell is decided here only when those digits provably come out right; _fmt
-# (CPython's dtoa) writes every other cell.  Each cell goes into a 24-byte
-# slot, NUL where it has no byte:
+# _formats.format_float.  A cell's text is digits[0..X] "." digits[X+1..]
+# when its decimal exponent X is in -4..11, and d "." ddd "e" X otherwise,
+# with the 12 significant digits rounded correctly and trailing zeros
+# dropped.  A cell is decided here only when those digits provably come out
+# right; format_float (CPython's dtoa) writes every other cell.  Each cell
+# goes into a 24-byte slot, NUL where it has no byte:
 #
 #     bytes 0-6    ",", "-" if negative, "0.0.." if -4 <= X < 0 (right-justified)
 #     bytes 7-19   the digits, with a "." after digit X, or after digit 0
@@ -314,7 +316,7 @@ def _slot_tables() -> SimpleNamespace:
 
     return SimpleNamespace(
         chars=chars, last_digit=last_digit.astype(np.int8),
-        # 10**(11 - X), and 0 where that is inexact: s = 0 sends the cell to _fmt
+        # 10**(11 - X), and 0 where that is inexact: s = 0 sends the cell to format_float
         pow10=np.array([float(10**(11 - x)) if abs(x) < 12 else 0.0 for x in exponents]),
         # [25 * negative + e]: bytes 0-7 of the slot
         head=np.array([_le((sign + prefix).rjust(7, b"\0") + b"\0")
@@ -344,7 +346,7 @@ def _format_block(x: np.ndarray) -> bytearray:
     s = a * t.pow10[e]
     N = np.rint(s)
     # s outside [1e11, 1e12) means a wrong X; N == 1e12 is a carry into the
-    # next power of ten.  _fmt writes both.
+    # next power of ten.  format_float writes both.
     fast &= (s >= 1e11) & (N < 1e12) & (np.abs(s - N) < 0.5 - _TIE_MARGIN)
     n = np.where(fast, N, 1e11).astype(np.int64)
     del a, s, N  # temporaries go as soon as they are used: the 90 bytes a cell counts what is left
@@ -373,7 +375,7 @@ def _format_block(x: np.ndarray) -> bytearray:
 
     if not fast.all():
         row, col = np.divmod(np.flatnonzero(~fast), K)
-        field(0, f"S{_SLOT}")[row, col] = [("," + _fmt(v)).encode() for v in x[row, col].tolist()]
+        field(0, f"S{_SLOT}")[row, col] = [("," + format_float(v)).encode() for v in x[row, col].tolist()]
     return buf
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._formats import write_csv
+from ._formats import format_float, write_csv
 from .clustering import Partition
 from .corpus import CellCounts
 
@@ -112,6 +112,6 @@ def characterize_clusters(
 def report_to_csv(report: VTestReport) -> str:
     """CSV ``cluster,word,v,p,cluster_mean,global_mean`` with p as 1.234567e-08."""
     return write_csv(["cluster", "word", "v", "p", "cluster_mean", "global_mean"], (
-        [e.cluster_id, e.word, format(e.v, ".12g"), format(e.p, ".6e"),
-         format(e.cluster_mean, ".12g"), format(e.global_mean, ".12g")]
+        [e.cluster_id, e.word, format_float(e.v), format(e.p, ".6e"),
+         format_float(e.cluster_mean), format_float(e.global_mean)]
         for e in report.entries))

@@ -40,7 +40,7 @@ _LABEL_ESCAPES = {ord(c): f"\\u{ord(c):04x}" for c in "\\\n\r\v\f\x1c\x1d\x1e\x8
 _LABEL_ESCAPED = re.compile(r"\\u([0-9a-f]{4})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: equal means identical
 class PointCloud:
     labels: tuple[str, ...]
     coords: np.ndarray  # n x d

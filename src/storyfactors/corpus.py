@@ -47,7 +47,7 @@ def _whole(name: str, value) -> np.ndarray:
     return np.asarray(array, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: equal means identical
 class CellCounts:
     """A count table stored as its non-zero cells, with stable label order.
 

@@ -87,11 +87,6 @@ class _Canvas:
         return "".join(self.parts)
 
 
-def _axis_percent(model: CAModel, axis: int) -> float:
-    ev = model.singular_values**2
-    return float(ev[axis - 1] / ev.sum() * 100.0)
-
-
 def _place_labels(anchors: list[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
     """Stack overlapping labels vertically (the only collision handling)."""
     placed: list[tuple[float, float, str]] = []
@@ -180,9 +175,9 @@ def render_factor_plane(
     for x, y, text in _place_labels(anchors):
         svg.text(x, y, text, size=10, fill=color)
 
-    svg.text(width - margin / 2, cy - 6, f"factor {axis_x} ({_axis_percent(model, axis_x):.1f}%)",
+    svg.text(width - margin / 2, cy - 6, f"factor {axis_x} ({model.percent[axis_x - 1]:.1f}%)",
              size=11, fill="#333333", anchor="end")
-    svg.text(cx + 6, margin / 2 + 10, f"factor {axis_y} ({_axis_percent(model, axis_y):.1f}%)",
+    svg.text(cx + 6, margin / 2 + 10, f"factor {axis_y} ({model.percent[axis_y - 1]:.1f}%)",
              size=11, fill="#333333")
     if title:
         svg.text(width / 2.0, 18.0, title, size=13, fill="#000000", anchor="middle")

@@ -1,6 +1,7 @@
 """Correspondence analysis: hand oracles, algebraic identities, exports."""
 
 import csv
+import dataclasses
 import io
 import sys
 import tracemalloc
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyfactors import ca, plots
-from storyfactors._formats import labelled_csv, write_csv
+from storyfactors._formats import format_float, labelled_csv, write_csv
+from storyfactors.clustering import PointCloud
 from storyfactors.corpus import CellCounts
 
 from conftest import random_table
@@ -222,8 +224,7 @@ def _out_of_place_fit(table):
         col_contrib = c[:, None] * G**2 / sigma**2
     if transposed:
         (r, F, row_contrib), (c, G, col_contrib) = (c, G, col_contrib), (r, F, row_contrib)
-    model = ca.CAModel(table.row_labels, table.col_labels, r, c, sigma, F, G,
-                       float(np.sum(sigma**2)))
+    model = ca.CAModel(table.row_labels, table.col_labels, r, c, sigma, F, G)
     return model, {"row": row_contrib, "col": col_contrib}
 
 
@@ -261,7 +262,7 @@ def test_contributions_are_derived_bitwise_and_not_held():
         n, m, k = (int(v) for v in rng.integers(1, 9, size=3))
         arrays = [rng.random(n), rng.random(m), rng.random(k) + 0.1,
                   rng.normal(size=(n, k)), rng.normal(size=(m, k))]
-        model = ca.CAModel(tuple(map(str, range(n))), tuple(map(str, range(m))), *arrays, 1.0)
+        model = ca.CAModel(tuple(map(str, range(n))), tuple(map(str, range(m))), *arrays)
         assert not any("contrib" in name for name in vars(model))
         for masses, coords, side in ((arrays[0], arrays[3], "row"), (arrays[1], arrays[4], "col")):
             eager = coords**2
@@ -367,6 +368,34 @@ def test_cumulative_inertia_ends_at_exactly_100():
             assert (np.diff(cumulative) >= -1e-12).all()
 
 
+def test_total_inertia_and_percent_are_derived_from_sigma():
+    # The model holds the singular values only: the total inertia and each
+    # axis's share are computed from them, in the arithmetic inertia.csv used.
+    assert "total_inertia" not in {field.name for field in dataclasses.fields(ca.CAModel)}
+    synthetic = _synthetic_model([[0.5], [0.5]], [[1.0]])
+    for model in [synthetic, *(model for _, model in _random_models(20, seed=43))]:
+        sigma = model.singular_values
+        assert model.total_inertia == float(np.sum(sigma**2))
+        assert np.array_equal(model.percent, 100 * sigma**2 / float(np.sum(sigma**2)))
+    assert synthetic.total_inertia == 1.0 and synthetic.percent.tolist() == [100.0]
+    with pytest.raises(TypeError, match="total_inertia"):
+        ca.CAModel((), (), *([np.ones(0)] * 5), total_inertia=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda counts: CellCounts.of(("a", "b"), ("x", "y"), counts),
+    lambda counts: ca.fit_ca(CellCounts.of(("a", "b"), ("x", "y"), counts)),
+    lambda counts: PointCloud(("a", "b"), counts),
+], ids=["CellCounts", "CAModel", "PointCloud"])
+def test_records_holding_arrays_compare_by_identity_and_hash(make):
+    # Field-wise equality would ask numpy for the truth value of an array.
+    counts = np.array([[3, 1], [1, 3]])
+    a, b = make(counts), make(counts)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
 def _synthetic_model(row_contrib, col_contrib):
     """A one-axis model whose contributions are exactly the given shares: with
     unit coordinates and singular value, m_i f_i^2 / sigma^2 is the mass m_i."""
@@ -381,7 +410,6 @@ def _synthetic_model(row_contrib, col_contrib):
         singular_values=np.ones(1),
         row_coords=np.ones((n, 1)),
         col_coords=np.ones((m, 1)),
-        total_inertia=1.0,
     )
 
 
@@ -434,8 +462,8 @@ def _per_axis_inertia_csv(model):
     rows = []
     for k, sigma in enumerate(model.singular_values):
         sq = sigma**2
-        rows.append([k + 1, ca._fmt(sigma), ca._fmt(sq), ca._fmt(100.0 * sq / model.total_inertia),
-                     ca._fmt(cumulative[k])])
+        rows.append([k + 1, format_float(sigma), format_float(sq),
+                     format_float(100.0 * sq / model.total_inertia), format_float(cumulative[k])])
     return write_csv(["axis", "sigma", "sigma_sq", "percent", "cumulative"], rows)
 
 
@@ -584,7 +612,7 @@ def test_fast_path_decides_nearly_every_cell(sentence_sized_model, monkeypatch):
         template[side] = (_template_matrix_csv(labels, coords, model.n_axes),
                           _template_matrix_csv(labels, model.contributions(side), model.n_axes))
     calls = []
-    monkeypatch.setattr(ca, "_fmt", lambda value: calls.append(value) or format(value, ".12g"))
+    monkeypatch.setattr(ca, "format_float", lambda value: calls.append(value) or format(value, ".12g"))
     for side in ("row", "col"):
         assert ("".join(ca.coordinates_csv(model, side)),
                 "".join(ca.contributions_csv(model, side))) == template[side]

@@ -116,6 +116,15 @@ def test_axis_annotations_show_inertia_percent():
     assert f"factor 1 ({pct:.1f}%)" in svg
 
 
+def test_axis_labels_read_the_model_percent():
+    # Both labels of every plane print the share inertia.csv writes, at .1f.
+    model = _model()
+    for axis_x, axis_y in ((1, 2), (2, 1), (3, 5), (model.n_axes, 1)):
+        svg = plots.render_factor_plane(model, axis_x, axis_y, labels=_top(model, 5))
+        labels = re.findall(r">factor (\d+) \(([0-9.]+)%\)<", svg)
+        assert labels == [(str(k), f"{model.percent[k - 1]:.1f}") for k in (axis_x, axis_y)]
+
+
 def test_selection_rules():
     model = _model(cols=8)
     top = _top(model, 3)
