@@ -32,8 +32,7 @@ print(f"table: {table.shape[0]} sentences x {table.shape[1]} words")
 # Embed on the first five factor axes and cluster with Ward, weighting
 # each sentence by its share of the corpus (the CA row masses).
 model = fit_ca(table)
-cloud = PointCloud(table.row_labels, model.row_coords[:, :5],
-                   masses=model.row_masses.copy())
+cloud = PointCloud(table.row_labels, model.row_coords[:, :5], masses=model.row_masses)
 partition = cut_k(ward_cluster(cloud), 11)
 sizes = [len(partition.members(c)) for c in range(1, 12)]
 print(f"11 sentence classes, sizes {'/'.join(map(str, sizes))}")

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._formats import format_float, labelled_csv
-from .corpus import CellCounts
+from .corpus import CellCounts, _frozen
 
 # Relative trim per axis plus an absolute floor: singular values are at
 # most 1 in CA, so anything below 1e-13 is floating-point residue (e.g.
@@ -46,7 +46,9 @@ class CAModel:
 
     def __post_init__(self) -> None:
         for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords"):
-            getattr(self, name).setflags(write=False)
+            array = getattr(self, name)  # a read-only array is taken as it is, as in CellCounts
+            if array.flags.writeable:  # freezing the caller's own array would lock it
+                object.__setattr__(self, name, _frozen(array.copy()))
 
     @property
     def n_axes(self) -> int:
@@ -148,11 +150,11 @@ def fit_ca(table: CellCounts) -> CAModel:
     return CAModel(
         row_labels=table.row_labels,
         col_labels=table.col_labels,
-        row_masses=r,
-        col_masses=c,
-        singular_values=sigma,
-        row_coords=F,
-        col_coords=G,
+        row_masses=_frozen(r),  # built here and read-only, so the model copies none of them
+        col_masses=_frozen(c),
+        singular_values=_frozen(sigma),
+        row_coords=_frozen(F),
+        col_coords=_frozen(G),
     )
 
 

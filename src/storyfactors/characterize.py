@@ -36,7 +36,6 @@ class VTestEntry:
 @dataclass(frozen=True)
 class VTestReport:
     entries: tuple[VTestEntry, ...]  # by (cluster_id, p, -|v| where p is 0, word)
-    alpha: float
 
 
 def _v_scores(values: np.ndarray, mask: np.ndarray, cluster_id: int,
@@ -106,7 +105,7 @@ def characterize_clusters(
                                           float(cluster_means[j]), float(global_means[j])))
     # Past erfc's underflow (|v| above about 38.6) p reads 0: larger |v| first there.
     entries.sort(key=lambda e: (e.cluster_id, e.p, -abs(e.v) if e.p == 0.0 else 0.0, e.word))
-    return VTestReport(tuple(entries), alpha)
+    return VTestReport(tuple(entries))
 
 
 def report_to_csv(report: VTestReport) -> str:

@@ -26,7 +26,9 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -78,15 +80,12 @@ class Dendrogram:
     """Merge tree: (left_node, right_node, height, new_node_size) per step."""
 
     merges: tuple[tuple[int, int, float, int], ...]
-    n_leaves: int
     criterion: str  # "ward" or "constrained_complete"
     labels: tuple[str, ...]  # leaf labels in chronological order
 
     def __post_init__(self) -> None:
         if len(self.merges) != self.n_leaves - 1:
             raise ValueError(f"{len(self.merges)} merges for {self.n_leaves} leaves")
-        if len(self.labels) != self.n_leaves:
-            raise ValueError("one label per leaf required")
         if len(set(self.labels)) != self.n_leaves:  # a cut maps each label to one cluster
             raise ValueError("leaf labels must be distinct")
         if self.criterion not in ("ward", "constrained_complete"):
@@ -109,17 +108,27 @@ class Dendrogram:
             sizes[n + step] = size
 
     @property
+    def n_leaves(self) -> int:
+        return len(self.labels)
+
+    @property
     def heights(self) -> tuple[float, ...]:
         return tuple(m[2] for m in self.merges)
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment label -> cluster id 1..k, ids ordered by earliest member."""
+    """Assignment label -> cluster id 1..k, ids ordered by earliest member, held as a read-only copy."""
 
-    k: int
-    assignment: dict[str, int]
+    assignment: Mapping[str, int] = field(hash=False)  # a mapping proxy has no hash
     degenerate: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+
+    @property
+    def k(self) -> int:  # the largest cluster id: a cut numbers its clusters 1..k
+        return max(self.assignment.values())
 
     def members(self, cluster_id: int) -> list[str]:
         return [label for label, cid in self.assignment.items() if cid == cluster_id]
@@ -198,7 +207,7 @@ def ward_cluster(cloud: PointCloud) -> Dendrogram:
         masses[a] = ma + mb
         sizes[a] += sizes[b]
         node_id[a] = n + step
-    return Dendrogram(tuple(merges), n, "ward", cloud.labels)
+    return Dendrogram(tuple(merges), "ward", cloud.labels)
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -299,7 +308,7 @@ def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
         adjacent[t:live - 1] = adjacent[t + 1:live]
         del starts[t + 1], node_id[t + 1]
         node_id[t] = n + step
-    return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)
+    return Dendrogram(tuple(merges), "constrained_complete", cloud.labels)
 
 
 def _subtrees(dendrogram: Dendrogram, k: int) -> list[list[int]]:
@@ -348,7 +357,7 @@ def cut_k(dendrogram: Dendrogram, k: int) -> Partition:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     subtrees = _subtrees(dendrogram, k)
     cluster_of = {leaf: cid for cid, leaves in enumerate(subtrees, start=1) for leaf in leaves}
-    return Partition(k, {label: cluster_of[i] for i, label in enumerate(dendrogram.labels)})
+    return Partition({label: cluster_of[i] for i, label in enumerate(dendrogram.labels)})
 
 
 def cut_max_gap(dendrogram: Dendrogram) -> Partition:
@@ -412,8 +421,9 @@ def dendrogram_from_text(text: str) -> Dendrogram:
             merges.append(_fields(line, int, int, float, int))
         elif line.strip():
             raise ValueError(f"unrecognized dendrogram line: {line!r}")
-    return Dendrogram(tuple(merges), header.get("leaves", 0),
-                      header.get("criterion", ""), tuple(labels))
+    if header.get("leaves") != len(labels):
+        raise ValueError(f"leaves record {header.get('leaves', 'missing')} for {len(labels)} leaf records")
+    return Dendrogram(tuple(merges), header.get("criterion", ""), tuple(labels))
 
 
 def partition_to_csv(partition: Partition) -> str:

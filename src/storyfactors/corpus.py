@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark an array this module just built read-only, so tables take it uncopied."""
+    """Mark an array just built read-only, so a table or CA model takes it uncopied."""
     array.setflags(write=False)
     return array
 

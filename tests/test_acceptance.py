@@ -249,7 +249,7 @@ def test_criterion_10_property_suite(tmp_path, capsys):
             failures.append(f"constrained brute force (trial {trial})")
 
     # v-test hand oracle: values 1..6, first two form the cluster.
-    partition = clustering.Partition(2, {str(i): 1 if i < 2 else 2 for i in range(6)})
+    partition = clustering.Partition({str(i): 1 if i < 2 else 2 for i in range(6)})
     v, p = characterize.v_test([1, 2, 3, 4, 5, 6], partition, 1)
     if abs(v - (-2.0 * math.sqrt(6.0 / 7.0))) > 1e-12:
         failures.append("v-test statistic oracle")

@@ -396,6 +396,30 @@ def test_records_holding_arrays_compare_by_identity_and_hash(make):
     assert len({a, b, a}) == 2
 
 
+_MODEL_ARRAYS = ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords")
+
+
+def test_ca_model_leaves_caller_arrays_writeable():
+    arrays = [np.full(2, 0.5), np.full(2, 0.5), np.ones(1), np.ones((2, 1)), np.ones((2, 1))]
+    model = ca.CAModel(("a", "b"), ("x", "y"), *arrays)
+    for name, array in zip(_MODEL_ARRAYS, arrays):
+        held = getattr(model, name)
+        assert array.flags.writeable and not held.flags.writeable, name
+        array[0] = 5.0
+        assert held[0] != 5.0, name
+
+
+def test_ca_model_takes_read_only_arrays_uncopied():
+    # fit_ca hands over arrays it marked read-only, so a fit copies none of
+    # them, and a model rebuilt from another's arrays shares them.
+    fitted = ca.fit_ca(_table([[3, 1, 0], [1, 3, 2], [0, 2, 4]]))
+    rebuilt = ca.CAModel(fitted.row_labels, fitted.col_labels,
+                         *(getattr(fitted, name) for name in _MODEL_ARRAYS))
+    for name in _MODEL_ARRAYS:
+        assert not getattr(fitted, name).flags.writeable, name
+        assert getattr(rebuilt, name) is getattr(fitted, name), name
+
+
 def _synthetic_model(row_contrib, col_contrib):
     """A one-axis model whose contributions are exactly the given shares: with
     unit coordinates and singular value, m_i f_i^2 / sigma^2 is the mass m_i."""

@@ -263,3 +263,65 @@ def test_equivalence_check_fails_on_a_split_that_is_not_proportional(transposed)
         counts = rng.integers(1, 9, size=(int(rng.integers(3, 7)), int(rng.integers(3, 7))))
         j = int(rng.integers(counts.shape[1]))
         assert _equivalence_ratio(counts, _split_column(counts, j, 1, 2, moved=1), transposed) > 1
+
+
+# -- another LAPACK driver -----------------------------------------------------
+
+def _driver_ratios(model, reference):
+    """Per CA matrix, each axis's largest |difference| from ``reference`` over
+    its largest |value| there, in units of eps / relgap_k.  No sign is matched:
+    the fit's sign convention must hold under any driver."""
+    assert model.n_axes == reference.n_axes
+    unit = EPS / _relgaps(reference.singular_values, reference.n_axes)
+    pairs = {"row_coords": (model.row_coords, reference.row_coords),
+             "col_coords": (model.col_coords, reference.col_coords),
+             "row_contrib": (model.contributions("row"), reference.contributions("row")),
+             "col_contrib": (model.contributions("col"), reference.contributions("col"))}
+    return {name: np.abs(got - ref).max(axis=0) / np.abs(ref).max(axis=0) / unit
+            for name, (got, ref) in pairs.items()}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_another_lapack_driver_stays_within_the_gap_bound(bundled, name, tmp_path, monkeypatch):
+    # scipy's gesvd in place of numpy's SVD (gesdd): every CA matrix stays
+    # within 1000 eps / relgap_k per axis, and the artifacts written before
+    # fit_ca, the partition and the v-test keep their bytes.
+    linalg = pytest.importorskip("scipy.linalg")
+    config, numpy_run = bundled[name]
+    before_ca = pipeline.run_pipeline(config, out_dir=tmp_path / "before_ca", upto="aggregate").files
+    calls = []
+
+    def gesvd(a, full_matrices=True):
+        calls.append(a.shape)
+        return linalg.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
+
+    monkeypatch.setattr(ca.np.linalg, "svd", gesvd)
+    gesvd_run = pipeline.run_pipeline(config, out_dir=tmp_path / "gesvd")
+    assert len(calls) == 1
+    for matrix, ratios in _driver_ratios(gesvd_run.model, numpy_run.model).items():
+        assert ratios.max() <= 1000, (matrix, ratios.round(2))
+    for key in [*before_ca, "partition", "vtest"]:
+        assert gesvd_run.files[key].read_bytes() == numpy_run.files[key].read_bytes(), key
+
+
+def _with_axes(model, order, signs):
+    """``model`` with its coordinate columns taken in ``order`` and times ``signs``."""
+    return ca.CAModel(model.row_labels, model.col_labels, model.row_masses, model.col_masses,
+                      model.singular_values, model.row_coords[:, order] * signs,
+                      model.col_coords[:, order] * signs)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_driver_check_fails_on_a_flipped_axis_and_on_swapped_axes(bundled, name):
+    model = bundled[name][1].model
+    K = model.n_axes
+    assert all(ratios.max() == 0 for ratios in _driver_ratios(model, model).values())
+    for k in range(K):
+        signs = np.ones(K)
+        signs[k] = -1.0
+        ratios = _driver_ratios(_with_axes(model, np.arange(K), signs), model)
+        assert min(ratios["row_coords"][k], ratios["col_coords"][k]) > 1000, k
+    swapped = np.arange(K)
+    swapped[:2] = (1, 0)
+    for matrix, ratios in _driver_ratios(_with_axes(model, swapped, np.ones(K)), model).items():
+        assert ratios[:2].min() > 1000, matrix

@@ -15,10 +15,9 @@ from storyfactors.corpus import CellCounts
 mpmath.mp.dps = 50
 
 
-def _split_partition(n, size, k=2):
-    """First ``size`` docs in cluster 1, the rest in cluster 2 (or spread)."""
-    assignment = {str(i): (1 if i < size else min(k, 2)) for i in range(n)}
-    return Partition(k, assignment)
+def _split_partition(n, size):
+    """First ``size`` docs in cluster 1, the rest in cluster 2."""
+    return Partition({str(i): (1 if i < size else 2) for i in range(n)})
 
 
 def test_v_test_hand_oracle():
@@ -45,7 +44,7 @@ def test_p_value_accurate_deep_in_the_tail():
 
 
 def test_degenerate_cases_return_zero_one():
-    whole = Partition(1, {str(i): 1 for i in range(4)})
+    whole = Partition({str(i): 1 for i in range(4)})
     assert characterize.v_test([1, 2, 3, 4], whole, 1) == (0.0, 1.0)
     constant = _split_partition(4, 2)
     assert characterize.v_test([5, 5, 5, 5], constant, 1) == (0.0, 1.0)
@@ -145,12 +144,10 @@ def test_characterize_validation():
         characterize.characterize_clusters(table, partition, alpha=0.0)
     with pytest.raises(ValueError, match="cover"):
         characterize.characterize_clusters(
-            table, Partition(2, {"0": 1, "x": 2}), alpha=0.05
+            table, Partition({"0": 1, "x": 2}), alpha=0.05
         )
     with pytest.raises(ValueError, match="cluster 2 is empty"):
-        characterize.characterize_clusters(
-            table, Partition(2, {"0": 1, "1": 1}), alpha=0.05
-        )
+        characterize.v_test([1.0, 2.0], Partition({"0": 1, "1": 1}), 2)
 
 
 def test_report_csv_layout():
@@ -158,7 +155,7 @@ def test_report_csv_layout():
         characterize.VTestEntry(1, "letter", 7.25, 4.18e-13, 3.5, 1.25),
         characterize.VTestEntry(2, "police", 0.0, 1.0, 0.5, 0.5),
     )
-    data = characterize.report_to_csv(characterize.VTestReport(entries, alpha=0.05))
+    data = characterize.report_to_csv(characterize.VTestReport(entries))
     lines = data.splitlines()
     assert lines[0] == "cluster,word,v,p,cluster_mean,global_mean"
     assert lines[1] == "1,letter,7.25,4.180000e-13,3.5,1.25"

@@ -1,6 +1,7 @@
 """Hierarchical clustering: oracles, brute-force cross-checks, cuts."""
 
 import csv
+import dataclasses
 import io
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from storyfactors import clustering
+from storyfactors.characterize import VTestReport
 from storyfactors.clustering import Dendrogram, Partition, PointCloud
 
 from conftest import random_cloud_arrays
@@ -278,7 +280,7 @@ def _matrix_constrained(cloud):
             adjacent[t] = cost[a, chain[t + 1]]
         sizes[a] += sizes[b]
         node_id[a] = n + step
-    return Dendrogram(tuple(merges), n, "constrained_complete", cloud.labels)
+    return Dendrogram(tuple(merges), "constrained_complete", cloud.labels)
 
 
 @pytest.mark.parametrize("block, band", [(64, 64), (1, 64), (64, 1), (2**17, 2)],
@@ -609,7 +611,7 @@ def _synthetic_dendrogram(heights):
     merges = [(0, 1, heights[0], 2)]
     for step in range(1, n - 1):
         merges.append((n + step - 1, step + 1, heights[step], step + 2))
-    return Dendrogram(tuple(merges), n, "ward", tuple(f"p{i}" for i in range(n)))
+    return Dendrogram(tuple(merges), "ward", tuple(f"p{i}" for i in range(n)))
 
 
 def test_cut_max_gap_picks_largest_jump():
@@ -650,7 +652,7 @@ def _cut_k_oracle(dendrogram, k):
     for cid, component in enumerate(_components_oracle(dendrogram, n - k), start=1):
         for leaf in component:
             cluster_of[leaf] = cid
-    return Partition(k, {dendrogram.labels[i]: cluster_of[i] for i in range(n)})
+    return Partition({dendrogram.labels[i]: cluster_of[i] for i in range(n)})
 
 
 def _leaf_order_oracle(dendrogram):
@@ -686,14 +688,14 @@ def _random_trees(seed, trials):
         if trial % 5 == 4:
             coords = rng.integers(0, 2, size=(n, 1)).astype(float)
         if n == 1:
-            yield Dendrogram((), 1, "ward", labels)
+            yield Dendrogram((), "ward", labels)
             continue
         for build in (clustering.ward_cluster, clustering.constrained_complete_link):
             tree = build(PointCloud(labels, coords))
             yield tree
             swapped = tuple((right, left, h, size) if rng.random() < 0.5 else (left, right, h, size)
                             for left, right, h, size in tree.merges)
-            yield Dendrogram(swapped, n, tree.criterion, labels)
+            yield Dendrogram(swapped, tree.criterion, labels)
 
 
 def test_cut_k_and_leaf_order_match_the_leaf_list_oracles():
@@ -716,7 +718,7 @@ def _right_chain(n):
     merges = [(n - 2, n - 1, 1.0, 2)]
     for step in range(1, n - 1):
         merges.append((n - 2 - step, n + step - 1, 1.0 + step, step + 2))
-    return Dendrogram(tuple(merges), n, "ward", tuple(f"p{i}" for i in range(n)))
+    return Dendrogram(tuple(merges), "ward", tuple(f"p{i}" for i in range(n)))
 
 
 def test_cut_and_leaf_order_walk_a_chain_deeper_than_the_recursion_limit():
@@ -732,18 +734,63 @@ def test_cut_and_leaf_order_walk_a_chain_deeper_than_the_recursion_limit():
 
 
 def test_partition_members():
-    partition = Partition(2, {"a": 1, "b": 2, "c": 1})
+    partition = Partition({"a": 1, "b": 2, "c": 1})
     assert partition.members(1) == ["a", "c"]
     assert partition.members(2) == ["b"]
 
 
+def test_partition_holds_a_read_only_copy_of_its_assignment():
+    given = {"a": 1, "b": 2}
+    partition = Partition(given)
+    given["a"] = 7
+    with pytest.raises(TypeError):
+        partition.assignment["b"] = 7
+    assert dict(partition.assignment) == {"a": 1, "b": 2}
+    assert partition.members(7) == [] and partition.k == 2
+    assert dict(dataclasses.replace(partition, degenerate=True).assignment) == {"a": 1, "b": 2}
+
+
+def test_equal_partitions_hash_equal():
+    a, b = Partition({"a": 1, "b": 2}), Partition({"a": 1, "b": 2})
+    assert a == b and hash(a) == hash(b)
+    assert a != Partition({"a": 1, "b": 1}) and a != Partition({"a": 1, "b": 2}, degenerate=True)
+    assert len({a, b, Partition({"a": 1, "b": 1})}) == 2
+
+
+def test_partition_k_is_its_largest_cluster_id():
+    assert Partition({"a": 1, "b": 3, "c": 2}).k == 3
+    assert Partition({"a": 1, "b": 1}).k == 1
+    tree = clustering.ward_cluster(_cloud([0.0, 1.0, 5.0, 9.0]))
+    for k in range(1, 5):
+        assert clustering.cut_k(tree, k).k == k
+
+
+def test_records_hold_no_field_another_derives():
+    assert [f.name for f in dataclasses.fields(Partition)] == ["assignment", "degenerate"]
+    assert [f.name for f in dataclasses.fields(Dendrogram)] == ["merges", "criterion", "labels"]
+    assert [f.name for f in dataclasses.fields(VTestReport)] == ["entries"]
+    assert Dendrogram((), "ward", ("a",)).n_leaves == 1
+    assert clustering.ward_cluster(_cloud([0.0, 1.0, 5.0])).n_leaves == 3
+
+
+def test_dendrogram_reader_checks_the_leaves_record_against_the_leaf_records():
+    leaves = "leaf 0 a\nleaf 1 b\nmerge 0 1 1.0 2\n"
+    for head, message in [("criterion ward\n", "leaves record missing for 2 leaf records"),
+                          ("criterion ward\nleaves 3\n", "leaves record 3 for 2 leaf records"),
+                          ("criterion ward\nleaves 1\n", "leaves record 1 for 2 leaf records")]:
+        with pytest.raises(ValueError) as info:
+            clustering.dendrogram_from_text(head + leaves)
+        assert str(info.value) == message
+    assert clustering.dendrogram_from_text("criterion ward\nleaves 2\n" + leaves).n_leaves == 2
+
+
 def test_dendrogram_validation():
     with pytest.raises(ValueError, match="merges"):
-        Dendrogram((), 3, "ward", ("a", "b", "c"))
+        Dendrogram((), "ward", ("a", "b", "c"))
     with pytest.raises(ValueError, match="merged twice"):
-        Dendrogram(((0, 1, 1.0, 2), (0, 2, 2.0, 3)), 3, "ward", ("a", "b", "c"))
-    with pytest.raises(ValueError, match="label"):
-        Dendrogram(((0, 1, 1.0, 2),), 2, "ward", ("a",))
+        Dendrogram(((0, 1, 1.0, 2), (0, 2, 2.0, 3)), "ward", ("a", "b", "c"))
+    with pytest.raises(ValueError, match="^1 merges for 1 leaves$"):
+        Dendrogram(((0, 1, 1.0, 2),), "ward", ("a",))
     tree = "criterion ward\nleaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 1.0 2\n"
     for text, message in [
         (tree.replace("leaf 0 a\nleaf 1 b", "leaf 1 a\nleaf 0 b"), "expected leaf 0, got 'leaf 1 a'"),
@@ -772,7 +819,7 @@ def test_dendrogram_rejects_unknown_criterion_and_heights_that_are_not_finite():
             clustering.dendrogram_from_text(
                 f"criterion ward\nleaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 {height} 2\n")
     with pytest.raises(ValueError, match="got 'complete'"):
-        Dendrogram(((0, 1, 1.0, 2),), 2, "complete", ("a", "b"))
+        Dendrogram(((0, 1, 1.0, 2),), "complete", ("a", "b"))
 
 
 def test_dendrogram_rejects_unknown_nodes_and_wrong_sizes():
@@ -824,7 +871,7 @@ def test_dendrogram_text_round_trips_labels_with_line_breaks():
     assert "leaf 5 é\n" in text and "leaf 6 \n" in text and "leaf 9 plain label\n" in text
 
 def test_partition_csv_layout():
-    partition = Partition(2, {"s1": 1, "s2": 1, "s3": 2})
+    partition = Partition({"s1": 1, "s2": 1, "s3": 2})
     assert clustering.partition_to_csv(partition) == (
         "label,cluster\ns1,1\ns2,1\ns3,2\n"
     )
@@ -832,7 +879,7 @@ def test_partition_csv_layout():
 
 def test_partition_csv_quotes_labels():
     labels = ["a,b", 'say "hi"', "x\ny", ""]
-    partition = Partition(2, {label: 1 + i // 2 for i, label in enumerate(labels)})
+    partition = Partition({label: 1 + i // 2 for i, label in enumerate(labels)})
     rows = list(csv.reader(io.StringIO(clustering.partition_to_csv(partition))))
     assert rows[0] == ["label", "cluster"]
     assert [(label, int(cid)) for label, cid in rows[1:]] == list(partition.assignment.items())
