@@ -51,7 +51,6 @@ from .clustering import (
 )
 from .corpus import (
     CellCounts,
-    CorpusFilter,
     aggregate,
     apply_filter,
     count_cells,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CAModel",
     "CellCounts",
-    "CorpusFilter",
     "Dendrogram",
     "Partition",
     "PipelineConfig",

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._formats import format_float, labelled_csv
-from .corpus import CellCounts, _frozen
+from .corpus import CellCounts, _frozen, _held
 
 # Relative trim per axis plus an absolute floor: singular values are at
 # most 1 in CA, so anything below 1e-13 is floating-point residue (e.g.
@@ -44,11 +44,11 @@ class CAModel:
     row_coords: np.ndarray  # F, n x K principal coordinates
     col_coords: np.ndarray  # G, m x K principal coordinates
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # tuples and read-only arrays, as in CellCounts
+        for name in ("row_labels", "col_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("row_masses", "col_masses", "singular_values", "row_coords", "col_coords"):
-            array = getattr(self, name)  # a read-only array is taken as it is, as in CellCounts
-            if array.flags.writeable:  # freezing the caller's own array would lock it
-                object.__setattr__(self, name, _frozen(array.copy()))
+            object.__setattr__(self, name, _held(getattr(self, name), float))
 
     @property
     def n_axes(self) -> int:

@@ -33,6 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from ._formats import write_csv
+from .corpus import _held
 
 _PAIR_BLOCK = 2**17  # float64 pair differences computed at once (1 MB)
 _BAND = 64  # squared distances kept per point, to each of the next _BAND points
@@ -48,23 +49,17 @@ class PointCloud:
     coords: np.ndarray  # n x d
     masses: np.ndarray | None = None  # default unit masses
 
-    def __post_init__(self) -> None:
-        coords = np.array(self.coords, dtype=float)  # a copy, so freezing it spares the caller
-        if coords.ndim != 2 or coords.shape[0] != len(self.labels):
-            raise ValueError(f"coords shape {coords.shape} does not fit {len(self.labels)} labels")
+    def __post_init__(self) -> None:  # tuples and read-only arrays, as in corpus.CellCounts
+        labels, coords = tuple(self.labels), _held(self.coords, float)
+        masses = _held(np.ones(len(labels)) if self.masses is None else self.masses, float)
+        if coords.ndim != 2 or coords.shape[0] != len(labels):
+            raise ValueError(f"coords shape {coords.shape} does not fit {len(labels)} labels")
         if not np.isfinite(coords).all():
             raise ValueError("coords must be finite")
-        masses = self.masses
-        if masses is None:
-            masses = np.ones(len(self.labels))
-        else:
-            masses = np.array(masses, dtype=float)
-            if masses.shape != (len(self.labels),) or not (np.isfinite(masses) & (masses > 0)).all():
-                raise ValueError("masses must be finite and positive, one per point")
-        coords.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "masses", masses)
+        if masses.shape != (len(labels),) or not (np.isfinite(masses) & (masses > 0)).all():
+            raise ValueError("masses must be finite and positive, one per point")
+        for name, value in (("labels", labels), ("coords", coords), ("masses", masses)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -84,6 +79,8 @@ class Dendrogram:
     labels: tuple[str, ...]  # leaf labels in chronological order
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "merges", tuple(map(tuple, self.merges)))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.merges) != self.n_leaves - 1:
             raise ValueError(f"{len(self.merges)} merges for {self.n_leaves} leaves")
         if len(set(self.labels)) != self.n_leaves:  # a cut maps each label to one cluster
@@ -125,6 +122,8 @@ class Partition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+        if not (ids := set(self.assignment.values())) or ids != set(range(1, len(ids) + 1)):
+            raise ValueError("cluster ids must be 1..k with k >= 1")
 
     @property
     def k(self) -> int:  # the largest cluster id: a cut numbers its clusters 1..k
@@ -207,7 +206,7 @@ def ward_cluster(cloud: PointCloud) -> Dendrogram:
         masses[a] = ma + mb
         sizes[a] += sizes[b]
         node_id[a] = n + step
-    return Dendrogram(tuple(merges), "ward", cloud.labels)
+    return Dendrogram(merges, "ward", cloud.labels)
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -308,7 +307,7 @@ def constrained_complete_link(cloud: PointCloud) -> Dendrogram:
         adjacent[t:live - 1] = adjacent[t + 1:live]
         del starts[t + 1], node_id[t + 1]
         node_id[t] = n + step
-    return Dendrogram(tuple(merges), "constrained_complete", cloud.labels)
+    return Dendrogram(merges, "constrained_complete", cloud.labels)
 
 
 def _subtrees(dendrogram: Dendrogram, k: int) -> list[list[int]]:
@@ -423,7 +422,7 @@ def dendrogram_from_text(text: str) -> Dendrogram:
             raise ValueError(f"unrecognized dendrogram line: {line!r}")
     if header.get("leaves") != len(labels):
         raise ValueError(f"leaves record {header.get('leaves', 'missing')} for {len(labels)} leaf records")
-    return Dendrogram(tuple(merges), header.get("criterion", ""), tuple(labels))
+    return Dendrogram(merges, header.get("criterion", ""), labels)
 
 
 def partition_to_csv(partition: Partition) -> str:

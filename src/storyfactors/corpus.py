@@ -17,7 +17,7 @@ cells, and is idempotent: applying the same filter twice changes nothing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -31,9 +31,23 @@ logger = logging.getLogger(__name__)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark an array just built read-only, so a table or CA model takes it uncopied."""
-    array.setflags(write=False)
+    """Mark an array just built, and any array it views, read-only, so a record takes it uncopied."""
+    base = array
+    while isinstance(base, np.ndarray):  # np.flatnonzero returns a view of an array of its own
+        base.setflags(write=False)
+        base = base.base
     return array
+
+
+def _held(value, dtype) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array, the one rule for an array a record keeps:
+    taken uncopied only when it and every array in its ``.base`` chain are read-only (as
+    :func:`_frozen` leaves them), copied otherwise.  What it cannot stop is what numpy
+    allows: the owner of a read-only array may set it writeable again."""
+    array = base = np.asarray(value, dtype)
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return array if base is None else _frozen(array.copy())
 
 
 def _whole(name: str, value) -> np.ndarray:
@@ -54,8 +68,8 @@ class CellCounts:
     ``cells`` holds the sorted, unique flat indices ``row * len(col_labels)
     + col`` of the non-zero cells and ``counts`` their positive counts, so
     the storage grows with the distinct words of each row, not with rows
-    times vocabulary.  Both are read-only int64 arrays: one given that way
-    is taken as it is, anything else is copied.
+    times vocabulary.  The labels are kept as tuples and both arrays as
+    read-only int64 arrays, through :func:`_held`.
     """
 
     row_labels: tuple[str, ...]
@@ -64,12 +78,10 @@ class CellCounts:
     counts: np.ndarray  # int64, > 0, one per cell
 
     def __post_init__(self) -> None:
+        for name in ("row_labels", "col_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("cells", "counts"):
-            value = getattr(self, name)
-            array = _whole(name, value)
-            if array is value and array.flags.writeable:
-                array = array.copy()  # freezing the caller's own array would lock it
-            object.__setattr__(self, name, _frozen(array))
+            object.__setattr__(self, name, _held(_whole(name, getattr(self, name)), np.int64))
         cells, counts, size = self.cells, self.counts, self.shape[0] * self.shape[1]
         if cells.ndim != 1 or cells.shape != counts.shape:
             raise ValueError(f"cells {cells.shape} and counts {counts.shape} "
@@ -115,17 +127,6 @@ class CellCounts:
         counts = np.zeros(self.shape, dtype=np.int64)
         counts.reshape(-1)[self.cells] = self.counts
         return _frozen(counts)
-
-
-@dataclass(frozen=True)
-class CorpusFilter:
-    """Vocabulary filter; defaults keep everything."""
-
-    min_total_count: int = 1
-    min_doc_count: int = 1
-    min_word_length: int = 1
-    stopwords: frozenset[str] = field(default_factory=frozenset)
-    lexicon: frozenset[str] | None = None
 
 
 def count_cells(token_lists: Iterable[TokenList],
@@ -176,14 +177,16 @@ def count_cells(token_lists: Iterable[TokenList],
                       _frozen(cells), _frozen(counts))
 
 
-def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:
+def apply_filter(table: CellCounts, *, min_total_count: int = 1, min_doc_count: int = 1,
+                 min_word_length: int = 1, stopwords: frozenset[str] = frozenset(),
+                 lexicon: frozenset[str] | None = None) -> CellCounts:
     """Run the filter passes in their fixed order and drop emptied rows.
 
     Pass order: stopword removal, minimum word length, lexicon allow-list,
     then the frequency thresholds evaluated against the table as it stands
     at that point (document frequencies are not recomputed after columns
-    drop), and finally removal of all-zero rows.  Returns the kept cells,
-    renumbered to the kept rows and columns.
+    drop), and finally removal of all-zero rows.  The defaults keep every
+    word.  Returns the kept cells, renumbered to the kept rows and columns.
     """
     n, V = table.shape
     cols = table.cells % V
@@ -192,12 +195,10 @@ def apply_filter(table: CellCounts, filt: CorpusFilter) -> CellCounts:
     # column, so evaluating the thresholds on the whole table and ANDing
     # them with the word passes keeps exactly the columns the passes would
     # keep one after another.
-    keep = (totals >= filt.min_total_count) & (
-        np.bincount(cols, minlength=V) >= filt.min_doc_count)
+    keep = (totals >= min_total_count) & (np.bincount(cols, minlength=V) >= min_doc_count)
     keep &= np.fromiter(
-        ((filt.min_word_length <= 1 or len(w) >= filt.min_word_length)
-         and w not in filt.stopwords
-         and (filt.lexicon is None or w in filt.lexicon) for w in table.col_labels),
+        ((min_word_length <= 1 or len(w) >= min_word_length) and w not in stopwords
+         and (lexicon is None or w in lexicon) for w in table.col_labels),
         dtype=bool, count=V)
     if not keep.any():
         raise ValueError("empty vocabulary: filter removed every column")

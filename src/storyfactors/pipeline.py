@@ -319,25 +319,23 @@ def _build(config: PipelineConfig, result: PipelineResult) -> str:
 
 
 def _filter(config: PipelineConfig, result: PipelineResult) -> str:
-    stopwords = (corpus.load_word_list(config.stopwords)
-                 if config.stopwords else frozenset())
-    lexicon = corpus.load_word_list(config.lexicon) if config.lexicon else None
-    filt = corpus.CorpusFilter(
-        min_total_count=config.min_total_count,
-        min_doc_count=config.min_doc_count,
-        min_word_length=config.min_word_length,
-        stopwords=stopwords,
-        lexicon=lexicon,
-    )
     built_rows = result.table.shape[0]
-    table = result.table = corpus.apply_filter(result.table, filt)  # the built table goes
+    table = result.table = corpus.apply_filter(  # the built table goes
+        result.table, min_total_count=config.min_total_count,
+        min_doc_count=config.min_doc_count, min_word_length=config.min_word_length,
+        stopwords=corpus.load_word_list(config.stopwords) if config.stopwords else frozenset(),
+        lexicon=corpus.load_word_list(config.lexicon) if config.lexicon else None)
     _write(result, "table", corpus.table_csv_rows(table))
     return (f"filter: {table.shape[1]} words, {table.total} occurrences, "
             f"{table.shape[0]} non-empty rows, {built_rows - table.shape[0]} emptied")
 
 
+def _segmented(config: PipelineConfig) -> bool:  # whether the run sums its rows into segments
+    return config.segment_sizes is not None or config.segment_file is not None
+
+
 def _aggregate(config: PipelineConfig, result: PipelineResult) -> str | None:
-    if config.segment_sizes is None and config.segment_file is None:
+    if not _segmented(config):
         return None
     ids, k = _segment_ids(config, result)
     empty = np.setdiff1d(np.arange(1, k + 1), ids)
@@ -400,7 +398,7 @@ def _plot(config: PipelineConfig, result: PipelineResult) -> str:
         raise ValueError(
             f"cannot draw a plane: axes {config.plot_axes} collapse onto "
             f"axis {ax} in a model with {model.n_axes} fitted axes")
-    aggregated = "segments" in result.files
+    aggregated = _segmented(config)
     if aggregated:
         _write(result, "plane_rows", plots.render_factor_plane(
             model, ax, ay, side="row", labels=table.row_labels,

@@ -41,23 +41,20 @@ def _within(value, target, relative):
 
 @pytest.fixture(scope="module")
 def t3(poe, stopwords):
-    filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3,
+    return corpus.apply_filter(poe["cells"], min_total_count=3, min_doc_count=3,
                                min_word_length=2, stopwords=stopwords)
-    return corpus.apply_filter(poe["cells"], filt)
 
 
 @pytest.fixture(scope="module")
 def t4(poe, stopwords):
-    filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3,
+    return corpus.apply_filter(poe["cells"], min_total_count=3, min_doc_count=3,
                                min_word_length=5, stopwords=stopwords)
-    return corpus.apply_filter(poe["cells"], filt)
 
 
 @pytest.fixture(scope="module")
 def t5(poe, noun_lexicon):
-    filt = corpus.CorpusFilter(min_total_count=5, min_doc_count=5,
+    return corpus.apply_filter(poe["cells"], min_total_count=5, min_doc_count=5,
                                min_word_length=2, lexicon=noun_lexicon)
-    return corpus.apply_filter(poe["cells"], filt)
 
 
 @pytest.fixture(scope="module")

@@ -420,6 +420,25 @@ def test_ca_model_takes_read_only_arrays_uncopied():
         assert getattr(rebuilt, name) is getattr(fitted, name), name
 
 
+def test_ca_model_keeps_its_values_when_a_writeable_base_changes():
+    base = np.full(2, 0.5)
+    view = base.view()
+    view.setflags(write=False)
+    model = ca.CAModel(("a", "b"), ("x", "y"), view, view, np.ones(1),
+                       np.ones((2, 1)), np.ones((2, 1)))
+    base[0] = 5.0
+    assert model.row_masses[0] == 0.5 and model.col_masses[0] == 0.5
+
+
+def test_ca_model_holds_its_labels_as_tuples():
+    rows, cols = ["a", "b"], ["x", "y"]
+    model = ca.CAModel(rows, cols, np.full(2, 0.5), np.full(2, 0.5), np.ones(1),
+                       np.ones((2, 1)), np.ones((2, 1)))
+    rows[0] = "b"
+    cols.append("z")
+    assert model.row_labels == ("a", "b") and model.col_labels == ("x", "y")
+
+
 def _synthetic_model(row_contrib, col_contrib):
     """A one-axis model whose contributions are exactly the given shares: with
     unit coordinates and singular value, m_i f_i^2 / sigma^2 is the mass m_i."""

@@ -166,9 +166,8 @@ def test_fit_and_vtest_take_the_filtered_cells(poe, stopwords):
     # fit_ca and characterize_clusters take the cells apply_filter returns,
     # with the results of the table built from its dense array first, and of
     # the CA and v-test formulas written out on that array.
-    filt = corpus.CorpusFilter(min_total_count=3, min_doc_count=3, min_word_length=2,
-                               stopwords=stopwords)
-    table = corpus.apply_filter(poe["cells"], filt)
+    table = corpus.apply_filter(poe["cells"], min_total_count=3, min_doc_count=3,
+                                min_word_length=2, stopwords=stopwords)
     model = ca.fit_ca(table)
     counts = table.dense()
     rebuilt = CellCounts.of(table.row_labels, table.col_labels, counts)
@@ -193,3 +192,11 @@ def test_fit_and_vtest_take_the_filtered_cells(poe, stopwords):
         v, p = characterize.v_test(column, partition, entry.cluster_id)
         assert entry.v == pytest.approx(v, rel=1e-9)
         assert entry.p == pytest.approx(p, rel=1e-9)
+
+
+def test_report_holds_its_entries_as_a_tuple():
+    entries = [characterize.VTestEntry(1, "w", 3.0, 0.001, 1.0, 0.5)]
+    report = characterize.VTestReport(entries)
+    entries.clear()
+    assert len(report.entries) == 1 and type(report.entries) is tuple
+    assert hash(report) == hash(characterize.VTestReport(report.entries))

@@ -733,6 +733,41 @@ def test_cut_and_leaf_order_walk_a_chain_deeper_than_the_recursion_limit():
         assert [i for i, cid in enumerate(ids) if cid == 2] == list(second_cluster)
 
 
+def test_point_cloud_holds_its_labels_as_a_tuple():
+    labels = ["a", "b", "c"]
+    cloud = PointCloud(labels, np.zeros((3, 1)))
+    labels.append("z")
+    assert cloud.labels == ("a", "b", "c") and len(cloud) == 3
+
+
+def test_point_cloud_takes_a_read_only_view_of_read_only_coordinates_uncopied():
+    # What the pipeline hands over: the first axes of a fitted model's
+    # read-only coordinates, so clustering copies no coordinate.
+    coords = np.arange(12.0).reshape(4, 3).copy()  # owns its data, as fit_ca's arrays do
+    coords.setflags(write=False)
+    cloud = PointCloud(("a", "b", "c", "d"), coords[:, :2], masses=coords[:, 0] + 1)
+    assert cloud.coords.base is coords and not cloud.coords.flags.writeable
+
+
+def test_dendrogram_holds_tuples_and_hashes():
+    labels, merges = ["a", "b", "c"], [[0, 1, 1.0, 2], [2, 3, 2.0, 3]]
+    tree = Dendrogram(merges, "ward", labels)
+    labels[0], merges[0][2] = "z", 9.0
+    merges.append([4, 4, 0.0, 6])
+    assert tree.labels == ("a", "b", "c")
+    assert tree.merges == ((0, 1, 1.0, 2), (2, 3, 2.0, 3))
+    assert hash(tree) == hash(Dendrogram(tree.merges, "ward", tree.labels))
+    built = clustering.ward_cluster(PointCloud(["a", "b", "c"], np.array([[0.0], [1.0], [5.0]])))
+    assert isinstance(hash(built), int) and built.labels == ("a", "b", "c")
+
+
+def test_partition_ids_must_be_one_to_k():
+    for assignment in ({"a": 1, "b": 3}, {"a": 2}, {"a": 0, "b": 1}, {}):
+        with pytest.raises(ValueError, match=r"^cluster ids must be 1\.\.k with k >= 1$"):
+            Partition(assignment)
+    assert Partition({"a": 2, "b": 1, "c": 2}).k == 2
+
+
 def test_partition_members():
     partition = Partition({"a": 1, "b": 2, "c": 1})
     assert partition.members(1) == ["a", "c"]

@@ -145,6 +145,59 @@ def test_table_leaves_the_callers_array_writable():
     assert frozen.cells is table.cells and frozen.counts is table.counts
 
 
+def test_table_keeps_its_values_when_a_writeable_base_changes():
+    # A read-only view of a writeable array is not read-only data: the base
+    # can still rewrite it, so the table copies it.
+    base = np.array([0, 3], dtype=np.int64)
+    view = base.view()
+    view.setflags(write=False)
+    table = corpus.CellCounts(("r",), ("a", "b", "c", "d"), view, view + 1)
+    base[1] = 1
+    assert table.cells.tolist() == [0, 3] and not table.cells.flags.writeable
+
+
+def test_table_holds_its_labels_as_tuples():
+    rows, cols = ["r1", "r2"], ["a"]
+    table = corpus.CellCounts(rows, cols, [0, 1], [1, 1])
+    rows[0] = "r2"
+    cols.append("b")
+    assert table.row_labels == ("r1", "r2") and table.col_labels == ("a",)
+    of = corpus.CellCounts.of(["r1", "r2"], ["a"], np.ones((2, 1), dtype=np.int64))
+    assert type(of.row_labels) is tuple and type(of.col_labels) is tuple
+
+
+def test_held_copies_unless_no_writeable_array_reaches_the_array():
+    owned = np.arange(4.0)
+    assert corpus._held(owned, float) is not owned  # writeable: copied
+    assert owned.flags.writeable
+    owned.setflags(write=False)
+    assert corpus._held(owned, float) is owned
+    view = owned[1:]
+    assert corpus._held(view, float) is view  # read-only view of read-only data
+    writeable_base = np.arange(4.0)
+    read_only_view = writeable_base[1:]
+    read_only_view.setflags(write=False)
+    held = corpus._held(read_only_view, float)
+    assert held is not read_only_view and not np.shares_memory(held, writeable_base)
+    foreign = np.frombuffer(bytearray(16))  # a buffer numpy does not own
+    assert not np.shares_memory(corpus._held(foreign, float), foreign)
+    for value in ([1, 2], np.arange(2), owned):
+        held = corpus._held(value, np.int64)
+        assert held.dtype == np.int64 and not held.flags.writeable
+
+
+def test_corpus_functions_hand_their_arrays_over_uncopied(poe):
+    # Each builds and freezes its arrays, so a table rebuilt from them
+    # shares them: no corpus step pays for a record's copy.
+    built = poe["cells"]
+    kept = corpus.apply_filter(built, min_total_count=3, min_doc_count=3)
+    segments = corpus.aggregate(kept, np.repeat([1, 2], [1, kept.shape[0] - 1]))
+    dense = corpus.CellCounts.of(kept.row_labels, kept.col_labels, kept.dense())
+    for table in (built, kept, segments, dense):
+        rebuilt = corpus.CellCounts(table.row_labels, table.col_labels, table.cells, table.counts)
+        assert rebuilt.cells is table.cells and rebuilt.counts is table.counts
+
+
 def _demo_table():
     # words: the(6 occ), cat(3), mat(2), a(1), zz(1 in 1 doc)
     rows = [
@@ -158,11 +211,10 @@ def _demo_table():
 
 def test_apply_filter_pass_order():
     table = _demo_table()
-    filt = corpus.CorpusFilter(
-        min_total_count=2, min_doc_count=2, min_word_length=2,
+    out = corpus.apply_filter(
+        table, min_total_count=2, min_doc_count=2, min_word_length=2,
         stopwords=frozenset({"the"}),
     )
-    out = corpus.apply_filter(table, filt)
     # "the" stopworded, "a" too short, "sat"/"zz" below thresholds.
     assert out.col_labels == ("cat", "mat")
     assert out.row_labels == ("1", "2", "4")  # row 3 emptied and dropped
@@ -171,23 +223,21 @@ def test_apply_filter_pass_order():
 
 def test_apply_filter_lexicon_restricts():
     table = _demo_table()
-    out = corpus.apply_filter(table, corpus.CorpusFilter(lexicon=frozenset({"cat", "sat"})))
+    out = corpus.apply_filter(table, lexicon=frozenset({"cat", "sat"}))
     assert out.col_labels == ("cat", "sat")
 
 
 def test_apply_filter_empty_vocabulary_is_an_error():
     table = _demo_table()
     with pytest.raises(ValueError, match="empty vocabulary"):
-        corpus.apply_filter(table, corpus.CorpusFilter(min_total_count=100))
+        corpus.apply_filter(table, min_total_count=100)
 
 
 def test_doc_counts_use_pre_threshold_table():
     # "b" appears in 2 docs before thresholds; dropping "a" first must not
     # change that, so min_doc_count=2 keeps "b".
     table = corpus.count_cells([_tl(1, "a", "b"), _tl(2, "b")])
-    out = corpus.apply_filter(
-        table, corpus.CorpusFilter(min_doc_count=2, stopwords=frozenset({"a"}))
-    )
+    out = corpus.apply_filter(table, min_doc_count=2, stopwords=frozenset({"a"}))
     assert out.col_labels == ("b",)
 
 
@@ -199,7 +249,7 @@ def tables(draw):
 
 @st.composite
 def filters(draw):
-    return corpus.CorpusFilter(
+    return dict(
         min_total_count=draw(st.integers(1, 4)),
         min_doc_count=draw(st.integers(1, 3)),
         min_word_length=draw(st.integers(1, 3)),
@@ -211,10 +261,10 @@ def filters(draw):
 @settings(max_examples=60, deadline=None)
 def test_apply_filter_is_idempotent(table, filt):
     try:
-        once = corpus.apply_filter(table, filt)
+        once = corpus.apply_filter(table, **filt)
     except ValueError:
         return
-    twice = corpus.apply_filter(once, filt)
+    twice = corpus.apply_filter(once, **filt)
     assert twice.row_labels == once.row_labels
     assert twice.col_labels == once.col_labels
     assert np.array_equal(twice.dense(), once.dense())
@@ -224,12 +274,12 @@ def test_apply_filter_is_idempotent(table, filt):
 @settings(max_examples=60, deadline=None)
 def test_apply_filter_output_meets_thresholds(table, filt):
     try:
-        out = corpus.apply_filter(table, filt)
+        out = corpus.apply_filter(table, **filt)
     except ValueError:
         return
-    assert (out.column_totals() >= filt.min_total_count).all()
-    assert all(len(w) >= filt.min_word_length for w in out.col_labels)
-    assert not set(out.col_labels) & filt.stopwords
+    assert (out.column_totals() >= filt["min_total_count"]).all()
+    assert all(len(w) >= filt["min_word_length"] for w in out.col_labels)
+    assert not set(out.col_labels) & filt["stopwords"]
     assert (out.dense().sum(axis=1) > 0).all()
 
 
@@ -345,20 +395,21 @@ def _reference_build_table(token_lists, unit="sentence", paragraph_ids=None):
     return corpus.CellCounts.of(row_labels, tuple(vocabulary), counts)
 
 
-def _reference_apply_filter(table, filt):
+def _reference_apply_filter(table, *, min_total_count=1, min_doc_count=1, min_word_length=1,
+                            stopwords=frozenset(), lexicon=None):
     keep = np.ones(len(table.col_labels), dtype=bool)
     words = np.array(table.col_labels)
-    if filt.stopwords:
-        keep &= ~np.isin(words, sorted(filt.stopwords))
-    if filt.min_word_length > 1:
-        keep &= np.array([len(w) >= filt.min_word_length for w in words])
-    if filt.lexicon is not None:
-        keep &= np.isin(words, sorted(filt.lexicon))
+    if stopwords:
+        keep &= ~np.isin(words, sorted(stopwords))
+    if min_word_length > 1:
+        keep &= np.array([len(w) >= min_word_length for w in words])
+    if lexicon is not None:
+        keep &= np.isin(words, sorted(lexicon))
     counts = table.dense()[:, keep]
     kept_words = words[keep]
     totals = counts.sum(axis=0)
     doc_freq = (counts > 0).sum(axis=0)
-    freq_ok = (totals >= filt.min_total_count) & (doc_freq >= filt.min_doc_count)
+    freq_ok = (totals >= min_total_count) & (doc_freq >= min_doc_count)
     counts = counts[:, freq_ok]
     kept_words = kept_words[freq_ok]
     if counts.shape[1] == 0:
@@ -369,18 +420,19 @@ def _reference_apply_filter(table, filt):
     return corpus.CellCounts.of(row_labels, tuple(kept_words), counts)
 
 
-def _dense_apply_filter(table, filt):
+def _dense_apply_filter(table, *, min_total_count=1, min_doc_count=1, min_word_length=1,
+                        stopwords=frozenset(), lexicon=None):
     """``corpus.apply_filter`` when it filled the kept rows x kept words densely."""
     n, V = table.shape
     rows, cols = np.divmod(table.cells, V)
     totals = np.zeros(V, dtype=np.int64)
     np.add.at(totals, cols, table.counts)
-    keep = (totals >= filt.min_total_count) & (
-        np.bincount(cols, minlength=V) >= filt.min_doc_count)
+    keep = (totals >= min_total_count) & (
+        np.bincount(cols, minlength=V) >= min_doc_count)
     keep &= np.fromiter(
-        ((filt.min_word_length <= 1 or len(w) >= filt.min_word_length)
-         and w not in filt.stopwords
-         and (filt.lexicon is None or w in filt.lexicon) for w in table.col_labels),
+        ((min_word_length <= 1 or len(w) >= min_word_length)
+         and w not in stopwords
+         and (lexicon is None or w in lexicon) for w in table.col_labels),
         dtype=bool, count=V)
     if not keep.any():
         raise ValueError("empty vocabulary: filter removed every column")
@@ -517,7 +569,7 @@ def word_tables(draw):
 def filter_passes(draw):
     """Every pass on or off: stopwords, word length, lexicon, each threshold."""
     words = st.frozensets(st.sampled_from(_WORDS + ("zz",)), max_size=6)
-    return corpus.CorpusFilter(
+    return dict(
         min_total_count=draw(st.integers(1, 5)) if draw(st.booleans()) else 1,
         min_doc_count=draw(st.integers(1, 4)) if draw(st.booleans()) else 1,
         min_word_length=draw(st.integers(1, 4)) if draw(st.booleans()) else 1,
@@ -530,15 +582,15 @@ def filter_passes(draw):
 @settings(max_examples=300, deadline=None)
 def test_apply_filter_matches_chained_passes(table, filt):
     try:
-        want = _reference_apply_filter(table, filt)
+        want = _reference_apply_filter(table, **filt)
     except ValueError as err:
         with pytest.raises(ValueError, match=str(err)):
-            corpus.apply_filter(table, filt)
+            corpus.apply_filter(table, **filt)
         return
-    cells = corpus.apply_filter(table, filt)
+    cells = corpus.apply_filter(table, **filt)
     assert (np.diff(cells.cells) > 0).all() and (cells.counts > 0).all()
     _assert_same_table(cells, want)
-    _assert_same_table(cells, _dense_apply_filter(table, filt))
+    _assert_same_table(cells, _dense_apply_filter(table, **filt))
 
 
 @given(token_corpora(), st.sampled_from(["sentence", "paragraph"]), filter_passes())
@@ -552,12 +604,12 @@ def test_filtered_cells_match_dense_build_then_filter(corpus_and_ids, unit, filt
         return
     cells = corpus.count_cells(token_lists, row_ids)
     try:
-        want = _reference_apply_filter(_reference_build_table(token_lists, unit, paragraphs), filt)
+        want = _reference_apply_filter(_reference_build_table(token_lists, unit, paragraphs), **filt)
     except ValueError as err:
         with pytest.raises(ValueError, match=str(err)):
-            corpus.apply_filter(cells, filt)
+            corpus.apply_filter(cells, **filt)
         return
-    _assert_same_table(corpus.apply_filter(cells, filt), want)
+    _assert_same_table(corpus.apply_filter(cells, **filt), want)
 
 
 def test_count_and_filter_never_build_the_unfiltered_table():
@@ -567,7 +619,7 @@ def test_count_and_filter_never_build_the_unfiltered_table():
     n = V = 1500
     token_lists = [TokenList(i, (f"w{i % 5}", *(f"w{(7 * i + j) % V}" for j in range(9))))
                    for i in range(n)]
-    filt = corpus.CorpusFilter(lexicon=frozenset(f"w{k}" for k in range(5)))
+    filt = dict(lexicon=frozenset(f"w{k}" for k in range(5)))
     bound = n * V * 8 // 4
 
     def traced_peak(count_and_filter):
@@ -583,9 +635,9 @@ def test_count_and_filter_never_build_the_unfiltered_table():
     def dense_route():  # the unfiltered table made dense, then reduced to its cells
         built = corpus.count_cells(token_lists)
         dense = corpus.CellCounts.of(built.row_labels, built.col_labels, built.dense())
-        return corpus.apply_filter(dense, filt)
+        return corpus.apply_filter(dense, **filt)
 
-    assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists), filt)) < bound
+    assert traced_peak(lambda: corpus.apply_filter(corpus.count_cells(token_lists), **filt)) < bound
     # The dense route exceeds the bound, so the bound can tell them apart.
     assert traced_peak(dense_route) > bound
 
@@ -663,8 +715,8 @@ def test_aggregate_holds_about_one_int64_array_per_kept_cell(poe):
     n = len(records)
     token_lists = [TokenList(tl.sentence_id + copy * n, tl.tokens)
                    for copy in range(15) for tl in tokens]
-    kept = corpus.apply_filter(corpus.count_cells(token_lists), corpus.CorpusFilter(
-        min_total_count=3, min_doc_count=3, min_word_length=2))
+    kept = corpus.apply_filter(corpus.count_cells(token_lists),
+                               min_total_count=3, min_doc_count=3, min_word_length=2)
     rows = kept.shape[0]
     segment_ids = np.repeat(np.arange(1, 17), [rows // 16 + (i < rows % 16) for i in range(16)])
     assert kept.cells.size >= 80_000
@@ -695,19 +747,19 @@ def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path)
     token_lists = [TokenList(i, tuple(f"w{(7 * i + j) % V}" for j in range(10)))
                    for i in range(n)]
     cells = corpus.count_cells(token_lists)
-    filt = corpus.CorpusFilter(min_total_count=2)
+    filt = dict(min_total_count=2)
     bound = n * V * 8 // 4
     segment_ids = np.repeat(np.arange(1, 17), n // 16)
 
     def cells_route():
-        kept = corpus.apply_filter(cells, filt)
+        kept = corpus.apply_filter(cells, **filt)
         segments = corpus.aggregate(kept, segment_ids)
         with open(tmp_path / "table.csv", "w", encoding="utf-8") as out:
             out.writelines(corpus.table_csv_rows(kept))
         return kept.shape, segments
 
     def dense_route():  # the filter's dense fill, then slice sums and one string
-        kept = _dense_apply_filter(cells, filt)
+        kept = _dense_apply_filter(cells, **filt)
         segments = _aggregate_slice_sums(kept, segment_ids)
         (tmp_path / "dense.csv").write_text("".join(corpus.table_csv_rows(kept)), encoding="utf-8")
         return kept.shape, segments
@@ -732,7 +784,7 @@ def test_filter_aggregate_and_table_csv_never_build_the_filtered_table(tmp_path)
 
 def test_apply_filter_keeps_an_empty_label_at_minimum_length_one():
     table = corpus.CellCounts.of(("r",), ("", "a"), np.array([[1, 1]]))
-    assert corpus.apply_filter(table, corpus.CorpusFilter()).col_labels == ("", "a")
+    assert corpus.apply_filter(table).col_labels == ("", "a")
 
 
 # Labels that csv must quote, plus one that stays unquoted only when fields follow.
